@@ -4,6 +4,7 @@
 
 #include "api/registry.hpp"
 #include "client/runner.hpp"
+#include "collab/collab.hpp"
 
 namespace agar::client {
 
@@ -92,8 +93,16 @@ void AgarStrategy::attach_to_loop(sim::EventLoop& loop) {
   });
 }
 
-core::PeerInfo AgarStrategy::collab_info() {
-  return core::broadcast_info(*node_);
+collab::PeerInfo AgarStrategy::collab_info() {
+  collab::PeerInfo info;
+  info.region = node_->region();
+  for (const auto& [key, opt] : node_->cache_manager().current().entries) {
+    for (const ChunkIndex idx : opt.chunks) {
+      info.configured_chunks.insert(ChunkId{opt.key, idx}.cache_key());
+    }
+  }
+  info.popularity = node_->request_monitor().snapshot();
+  return info;
 }
 
 void AgarStrategy::set_collab_hooks(const core::CollabPlannerHooks& hooks) {

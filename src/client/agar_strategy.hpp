@@ -49,7 +49,7 @@ class AgarStrategy final : public ReadStrategy {
 
   /// Broadcastable cache state for the cooperative tier (configured chunk
   /// keys + popularity snapshot — the paper's §VI broadcast).
-  [[nodiscard]] core::PeerInfo collab_info() override;
+  [[nodiscard]] collab::PeerInfo collab_info() override;
 
   /// Forward the cooperative-planning hooks to the cache manager when the
   /// planner runs at global scope (planner.scope=global); no-op otherwise.

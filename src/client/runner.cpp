@@ -5,12 +5,12 @@
 #include <stdexcept>
 
 #include "api/registry.hpp"
+#include "client/lane_recorder.hpp"
 #include "collab/collab.hpp"
 #include "common/logging.hpp"
 #include "scenario/engine.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/sharded_engine.hpp"
-#include "stats/windowed.hpp"
 
 namespace agar::client {
 
@@ -48,13 +48,6 @@ void Deployment::bind_lanes(const std::vector<RegionId>& lane_regions) {
 }
 
 namespace {
-
-/// Per-(run, region, client) workload seed — the exported mixing formula,
-/// aliased so the call sites below read as before.
-std::uint64_t workload_seed(std::uint64_t run_seed, std::size_t region_index,
-                            std::size_t client) {
-  return workload_stream_seed(run_seed, region_index, client);
-}
 
 RunResult run_once(const ExperimentConfig& config,
                    const StrategyFactory& factory, std::uint64_t run_seed) {
@@ -96,8 +89,10 @@ RunResult run_once(const ExperimentConfig& config,
   const std::size_t ops_total = config.ops_per_run;
   const SimTimeMs window_ms = config.metric_window_ms;
 
-  struct WindowCounters {
-    std::uint64_t ops = 0, full = 0, partial = 0, failed = 0, degraded = 0;
+  /// One metric window of a lane's time series: the reads that completed
+  /// in it, recorded like the lane's own, plus the collab-tier slice.
+  struct WindowSlice {
+    LaneRecorder reads;
     std::uint64_t peer_hits = 0, stale = 0;  // collab tier only
   };
   // Client state is heap-held and owns its own issue/arrival closure: the
@@ -112,13 +107,9 @@ RunResult run_once(const ExperimentConfig& config,
   /// Everything one lane mutates while it runs — touched only by the shard
   /// thread that owns the lane, then merged in lane order afterwards.
   struct LaneState {
-    RunResult partial;
-    std::size_t issued = 0;
-    std::size_t completed = 0;
-    std::size_t reads_in_flight = 0;
+    LaneRecorder recorder;
     std::size_t budget = 0;  // closed-loop op cap for this lane
-    std::unique_ptr<stats::WindowedHistogram> window_latencies;
-    std::vector<WindowCounters> window_counters;
+    std::vector<WindowSlice> windows;  // metric_window_ms > 0 only
     std::unique_ptr<scenario::ScenarioEngine> scenario;
     std::vector<std::unique_ptr<ClientState>> clients;
     std::unique_ptr<ReadStrategy> strategy;
@@ -141,10 +132,6 @@ RunResult run_once(const ExperimentConfig& config,
     // totals always match ops_per_run.
     lane.budget =
         ops_total / num_lanes + (ri == 0 ? ops_total % num_lanes : 0);
-    if (window_ms > 0.0) {
-      lane.window_latencies =
-          std::make_unique<stats::WindowedHistogram>(window_ms);
-    }
 
     // One strategy instance (for Agar: one AgarNode) per client region.
     auto strategy = factory(config, deployment, regions[ri], &loop);
@@ -185,52 +172,27 @@ RunResult run_once(const ExperimentConfig& config,
     }
     scenario::ScenarioEngine* const scenario_engine = lane.scenario.get();
 
-    auto record = [&lane, &loop, crt, ri](const ReadResult& r) {
-      RunResult& res = lane.partial;
-      ++res.ops;
+    auto record = [&lane, &loop, crt, ri, window_ms](const ReadResult& r) {
+      lane.recorder.complete_read(r, loop.now());
       if (crt != nullptr) crt->note_read(ri);
-      if (r.failed) {
-        ++res.failed_reads;
-      } else {
-        res.latencies.add(r.latency_ms);
-        if (r.full_hit) ++res.full_hits;
-        if (r.partial_hit && !r.full_hit) ++res.partial_hits;
-        if (r.verified) ++res.verified;
-        if (r.degraded) ++res.degraded_reads;
-      }
-      if (lane.window_latencies != nullptr) {
-        const std::size_t w = lane.window_latencies->index_of(loop.now());
-        lane.window_latencies->ensure(w);
-        if (lane.window_counters.size() <= w) {
-          lane.window_counters.resize(w + 1);
-        }
-        WindowCounters& wc = lane.window_counters[w];
-        ++wc.ops;
-        if (r.failed) {
-          ++wc.failed;
-        } else {
-          lane.window_latencies->add(loop.now(), r.latency_ms);
-          if (r.full_hit) ++wc.full;
-          if (r.partial_hit && !r.full_hit) ++wc.partial;
-          if (r.degraded) ++wc.degraded;
-        }
+      if (window_ms > 0.0) {
+        // Windows extend on demand, so gaps with no completions still
+        // occupy an (empty) window.
+        const auto w = static_cast<std::size_t>(loop.now() / window_ms);
+        if (lane.windows.size() <= w) lane.windows.resize(w + 1);
+        WindowSlice& slice = lane.windows[w];
+        slice.reads.complete_read(r, loop.now());
         if (crt != nullptr) {
           // Drain the collab slice accumulated since the last completion
           // into the window this completion lands in.
-          wc.peer_hits += crt->take_window_peer_hits(ri);
-          wc.stale += crt->take_window_stale_reads(ri);
+          slice.peer_hits += crt->take_window_peer_hits(ri);
+          slice.stale += crt->take_window_stale_reads(ri);
         }
       }
-      ++lane.completed;
-      --lane.reads_in_flight;
-      res.duration_ms = std::max(res.duration_ms, loop.now());
     };
     auto begin_read = [&lane](Workload& workload,
                               ReadStrategy::ReadCallback done) {
-      ++lane.issued;
-      ++lane.reads_in_flight;
-      lane.partial.max_reads_in_flight =
-          std::max(lane.partial.max_reads_in_flight, lane.reads_in_flight);
+      lane.recorder.begin_read();
       lane.strategy->start_read(workload.next_key(), std::move(done));
     };
 
@@ -242,8 +204,8 @@ RunResult run_once(const ExperimentConfig& config,
       const SimTimeMs mean_gap_ms = 1000.0 / config.arrival_rate_per_s;
       lane.clients.push_back(std::make_unique<ClientState>(ClientState{
           Workload(config.workload, config.deployment.num_objects,
-                   workload_seed(run_seed, ri, 0)),
-          Rng(workload_seed(run_seed, ri, 7777)), lane.budget, {}}));
+                   workload_stream_seed(run_seed, ri, 0)),
+          Rng(workload_stream_seed(run_seed, ri, 7777)), lane.budget, {}}));
       ClientState* state = lane.clients.back().get();
       state->next = [state, begin_read, record, mean_gap_ms, scenario_engine,
                      &loop]() {
@@ -272,11 +234,11 @@ RunResult run_once(const ExperimentConfig& config,
       for (std::size_t c = 0; c < per_region; ++c) {
         lane.clients.push_back(std::make_unique<ClientState>(ClientState{
             Workload(config.workload, config.deployment.num_objects,
-                     workload_seed(run_seed, ri, c)),
+                     workload_stream_seed(run_seed, ri, c)),
             Rng(0), 0, {}}));
         ClientState* state = lane.clients.back().get();
         state->next = [&lane, state, begin_read, record]() {
-          if (lane.issued >= lane.budget) return;
+          if (lane.recorder.issued() >= lane.budget) return;
           begin_read(state->workload,
                      [state, record](const ReadResult& r) {
                        record(r);
@@ -294,7 +256,7 @@ RunResult run_once(const ExperimentConfig& config,
   // shards are quiescent at the barrier.
   engine.run_windows(1000.0, [&lanes, ops_total] {
     std::size_t completed = 0;
-    for (const LaneState& lane : lanes) completed += lane.completed;
+    for (const LaneState& lane : lanes) completed += lane.recorder.completed();
     return completed >= ops_total;
   });
 
@@ -305,12 +267,7 @@ RunResult run_once(const ExperimentConfig& config,
   // indices map to virtual time.
   if (window_ms > 0.0) {
     std::size_t n = 0;
-    for (const LaneState& lane : lanes) {
-      if (lane.window_latencies != nullptr) {
-        n = std::max(n, lane.window_latencies->size());
-      }
-      n = std::max(n, lane.window_counters.size());
-    }
+    for (const LaneState& lane : lanes) n = std::max(n, lane.windows.size());
     result.windows.reserve(n);
     for (std::size_t w = 0; w < n; ++w) {
       WindowStats ws;
@@ -318,20 +275,17 @@ RunResult run_once(const ExperimentConfig& config,
       ws.end_ms = ws.start_ms + window_ms;
       stats::Histogram merged;
       for (const LaneState& lane : lanes) {
-        if (w < lane.window_counters.size()) {
-          const WindowCounters& wc = lane.window_counters[w];
-          ws.ops += wc.ops;
-          ws.full_hits += wc.full;
-          ws.partial_hits += wc.partial;
-          ws.failed_reads += wc.failed;
-          ws.degraded_reads += wc.degraded;
-          ws.collab_peer_hits += wc.peer_hits;
-          ws.collab_stale_reads += wc.stale;
-        }
-        if (lane.window_latencies != nullptr &&
-            w < lane.window_latencies->size()) {
-          merged.merge(lane.window_latencies->window(w));
-        }
+        if (w >= lane.windows.size()) continue;
+        const WindowSlice& slice = lane.windows[w];
+        const RunResult& reads = slice.reads.result();
+        ws.ops += reads.ops;
+        ws.full_hits += reads.full_hits;
+        ws.partial_hits += reads.partial_hits;
+        ws.failed_reads += reads.failed_reads;
+        ws.degraded_reads += reads.degraded_reads;
+        ws.collab_peer_hits += slice.peer_hits;
+        ws.collab_stale_reads += slice.stale;
+        merged.merge(reads.latencies);
       }
       if (merged.count() > 0) {
         ws.mean_ms = merged.mean();
@@ -346,72 +300,14 @@ RunResult run_once(const ExperimentConfig& config,
     result.scenario_events_fired = lanes.front().scenario->fired();
   }
 
-  // Merge lane results in lane order (float accumulation order is part of
-  // the determinism contract), then the per-lane pipeline gauges: peaks
-  // that were per-region stay maxima, per-lane concurrency peaks sum.
-  std::vector<double> ewma_sum, ewma_weight;  // per region, across lanes
-  bool any_policy = false;
+  // Lane-order merge of the recorders and per-lane pipeline counters.
+  std::vector<LaneView> views;
+  views.reserve(num_lanes);
   for (std::size_t ri = 0; ri < num_lanes; ++ri) {
-    LaneState& lane = lanes[ri];
-    const RunResult& p = lane.partial;
-    result.latencies.merge(p.latencies);
-    result.ops += p.ops;
-    result.full_hits += p.full_hits;
-    result.partial_hits += p.partial_hits;
-    result.verified += p.verified;
-    result.failed_reads += p.failed_reads;
-    result.degraded_reads += p.degraded_reads;
-    result.duration_ms = std::max(result.duration_ms, p.duration_ms);
-    result.max_reads_in_flight += p.max_reads_in_flight;
-
-    sim::Network& network = deployment.lane_network(ri);
-    result.wire_fetches += network.wire_fetches();
-    result.queued_fetches += network.queued_fetches();
-    result.max_queue_depth =
-        std::max(result.max_queue_depth, network.max_queue_depth());
-    result.max_net_in_flight += network.max_in_flight();
-    result.aborted_on_wire += network.aborted_on_wire();
-    result.failed_in_queue += network.failed_in_queue();
-    result.timed_out_fetches += network.timed_out();
-
-    result.coalesced_fetches += lane.strategy->fetch_coordinator().coalesced();
-    const core::ControlPlaneStats cp = lane.strategy->control_plane_stats();
-    result.reconfigurations += cp.reconfigurations;
-    result.planning_ms += cp.planning_ms;
-    result.config_chunks_installed += cp.chunks_installed;
-    result.config_chunks_evicted += cp.chunks_evicted;
-
-    if (const FetchPolicy* policy = lane.strategy->fetch_policy()) {
-      any_policy = true;
-      const FetchPolicyStats& fs = policy->stats();
-      result.fetch_attempts += fs.attempts;
-      result.fetch_timeouts += fs.timeouts;
-      result.fetch_retries += fs.retries;
-      result.hedges_issued += fs.hedges_issued;
-      result.hedges_won += fs.hedges_won;
-      result.hedges_wasted += fs.hedges_wasted;
-      result.fetch_exhausted += fs.exhausted;
-      if (ewma_sum.size() < policy->num_regions()) {
-        ewma_sum.resize(policy->num_regions(), 0.0);
-        ewma_weight.resize(policy->num_regions(), 0.0);
-      }
-      // Sample-weighted merge, in lane order: a lane that fetched more from
-      // a region moves that region's merged health estimate more.
-      for (RegionId r = 0; r < policy->num_regions(); ++r) {
-        const auto w = static_cast<double>(policy->region_samples(r));
-        ewma_sum[r] += w * policy->region_success_ewma(r);
-        ewma_weight[r] += w;
-      }
-    }
+    views.push_back({&lanes[ri].recorder, &deployment.lane_network(ri),
+                     lanes[ri].strategy.get(), &deployment.lane_codec(ri)});
   }
-  if (any_policy) {
-    result.region_success_ewma.reserve(ewma_sum.size());
-    for (std::size_t r = 0; r < ewma_sum.size(); ++r) {
-      // No samples anywhere: report the EWMA's healthy prior.
-      result.region_success_ewma.push_back(
-          ewma_weight[r] > 0.0 ? ewma_sum[r] / ewma_weight[r] : 1.0);
-    }
-  }
+  merge_lanes(views, result);
 
   // Cooperative-tier summary: lane-order merge of the per-lane counters
   // plus the config log / overlap state that exists once per run.
@@ -434,26 +330,6 @@ RunResult run_once(const ExperimentConfig& config,
     result.config_overlap = s.config_overlap;
   }
 
-  // Final snapshots through the observability hooks every strategy
-  // exposes (primary region's strategy, as before) — the runner needs no
-  // knowledge of concrete strategy types.
-  ReadStrategy* primary = lanes.front().strategy.get();
-  if (const cache::CacheEngine* cache_engine = primary->cache_engine()) {
-    result.cache_stats = cache_engine->stats();
-    result.cache_used_bytes = cache_engine->used_bytes();
-  }
-  result.weight_histogram = primary->config_weight_histogram();
-  // Lane 0 decodes on the backend's codec, further lanes on their clones;
-  // the report is the sum over all decode-plan caches.
-  result.decode_plan_hits =
-      deployment.backend().codec().rs().decode_plan_hits();
-  result.decode_plan_misses =
-      deployment.backend().codec().rs().decode_plan_misses();
-  for (std::size_t ri = 1; ri < num_lanes; ++ri) {
-    result.decode_plan_hits += deployment.lane_codec(ri).rs().decode_plan_hits();
-    result.decode_plan_misses +=
-        deployment.lane_codec(ri).rs().decode_plan_misses();
-  }
   return result;
 }
 
@@ -528,26 +404,6 @@ std::uint64_t ExperimentResult::total_coalesced_fetches() const {
 std::uint64_t ExperimentResult::total_wire_fetches() const {
   std::uint64_t acc = 0;
   for (const auto& r : runs) acc += r.wire_fetches;
-  return acc;
-}
-
-std::uint64_t ExperimentResult::total_reconfigurations() const {
-  std::uint64_t acc = 0;
-  for (const auto& r : runs) acc += r.reconfigurations;
-  return acc;
-}
-
-double ExperimentResult::total_planning_ms() const {
-  double acc = 0.0;
-  for (const auto& r : runs) acc += r.planning_ms;
-  return acc;
-}
-
-std::uint64_t ExperimentResult::total_config_churn() const {
-  std::uint64_t acc = 0;
-  for (const auto& r : runs) {
-    acc += r.config_chunks_installed + r.config_chunks_evicted;
-  }
   return acc;
 }
 

@@ -6,7 +6,6 @@
 // YCSB clients per instance, 30 s reconfiguration period).
 #pragma once
 
-#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -58,9 +57,6 @@ class Deployment {
   /// and FIFO state) and its own codec clone (own decode-plan cache) so
   /// shard threads never share mutable simulation state.
   void bind_lanes(const std::vector<RegionId>& lane_regions);
-  [[nodiscard]] std::size_t num_lanes() const {
-    return std::max<std::size_t>(lane_regions_.size(), 1);
-  }
   [[nodiscard]] sim::Network& lane_network(std::size_t lane) {
     return lane == 0 ? *network_ : *lane_networks_[lane - 1];
   }
@@ -254,7 +250,7 @@ struct RunResult {
   double paxos_append_p99_ms = 0.0;
   std::uint64_t config_epochs = 0;  ///< decided prefix of the config log
   /// Mean pairwise cache-content overlap across regions at run end
-  /// (core::OverlapReport::shared_fraction).
+  /// (collab::OverlapReport::shared_fraction).
   double config_overlap = 0.0;
 
   /// Windowed time series (metric_window_ms > 0), windows with no
@@ -292,11 +288,6 @@ struct ExperimentResult {
   [[nodiscard]] double mean_throughput_ops_per_s() const;
   [[nodiscard]] std::uint64_t total_coalesced_fetches() const;
   [[nodiscard]] std::uint64_t total_wire_fetches() const;
-  [[nodiscard]] std::uint64_t total_reconfigurations() const;
-  [[nodiscard]] double total_planning_ms() const;
-  /// Chunks installed + evicted across all runs — the config-churn scalar
-  /// planner comparisons report.
-  [[nodiscard]] std::uint64_t total_config_churn() const;
 };
 
 /// Builds one strategy instance per client region. The runner owns no

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "client/backend_strategy.hpp"
+#include "collab/collab.hpp"
 
 namespace agar::client {
 
@@ -23,6 +24,8 @@ ReadStrategy::ReadStrategy(ClientContext ctx) : ctx_(ctx), fetcher_(ctx.network)
         });
   }
 }
+
+collab::PeerInfo ReadStrategy::collab_info() { return {}; }
 
 void ReadStrategy::enable_collab(CollabRoute route, CollabDone done) {
   // Layering per wire fetch: coalescing table -> collab routing (pick the

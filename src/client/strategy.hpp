@@ -19,13 +19,17 @@
 #include "cache/static_cache.hpp"
 #include "client/fetch_policy.hpp"
 #include "common/types.hpp"
-#include "core/collaboration.hpp"
+#include "core/cache_manager.hpp"
 #include "core/fetch_coordinator.hpp"
 #include "core/planner.hpp"
 #include "core/read_planner.hpp"
 #include "sim/event_loop.hpp"
 #include "sim/network.hpp"
 #include "store/backend.hpp"
+
+namespace agar::collab {
+struct PeerInfo;
+}
 
 namespace agar::client {
 
@@ -145,7 +149,7 @@ class ReadStrategy {
   /// chunks + popularity). Default: an empty snapshot — strategies without
   /// a configured cache still participate in the broadcast protocol so
   /// determinism is uniform, they just never attract peer fetches.
-  [[nodiscard]] virtual core::PeerInfo collab_info() { return {}; }
+  [[nodiscard]] virtual collab::PeerInfo collab_info();
 
   /// Cooperative-planning hooks (merged popularity, peer-aware chunk
   /// costs). Default ignores them — only strategies with a planning

@@ -14,7 +14,7 @@
 //
 // Pieces:
 //  * peer directory — each lane's view of what every other lane last
-//    broadcast (core::PeerInfo). Broadcasts are periodic events on the
+//    broadcast (PeerInfo). Broadcasts are periodic events on the
 //    owning lane's loop, delivered to each peer after the inter-region base
 //    latency; a recipient inside a network partition drops broadcasts from
 //    the other side. Directory staleness is bounded by the period: the
@@ -35,12 +35,14 @@
 #pragma once
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
-#include "core/collaboration.hpp"
+#include "core/option_generator.hpp"
 #include "paxos/replicated_log.hpp"
 #include "sim/network.hpp"
 #include "sim/sharded_engine.hpp"
@@ -52,6 +54,44 @@ class ReadStrategy;
 
 namespace agar::collab {
 
+/// What one cache broadcasts. The configured-chunk set is ordered: peer
+/// directories feed merged planning snapshots and the overlap report, so
+/// broadcast state must not carry hash-map iteration order.
+struct PeerInfo {
+  RegionId region = kInvalidRegion;
+  std::set<std::string> configured_chunks;  // chunk cache keys, sorted
+  std::vector<std::pair<ObjectKey, double>> popularity;
+};
+
+/// Adjust chunk costs with peer caches: if a peer within `max_peer_ms` of
+/// the client region has a chunk configured, the chunk's expected latency
+/// becomes min(original, peer cache latency), where the peer cache latency
+/// is the inter-region base latency scaled by `peer_cache_factor`
+/// (< 1: a memcached hit is cheaper than an S3 GET over the same distance).
+[[nodiscard]] std::vector<core::ChunkCost> peer_aware_costs(
+    std::vector<core::ChunkCost> costs, const ObjectKey& key,
+    const std::vector<PeerInfo>& peers, const sim::Topology& topology,
+    RegionId client_region, double peer_cache_factor = 0.75,
+    double max_peer_ms = 400.0);
+
+/// Overlap report between two caches' configurations.
+struct OverlapReport {
+  std::size_t chunks_a = 0;
+  std::size_t chunks_b = 0;
+  std::size_t shared = 0;  ///< chunk keys configured by both
+
+  [[nodiscard]] double shared_fraction() const {
+    const std::size_t total = chunks_a + chunks_b;
+    return total == 0 ? 0.0
+                      : 2.0 * static_cast<double>(shared) /
+                            static_cast<double>(total);
+  }
+};
+
+/// Pairwise overlap of two broadcast snapshots (the run summary's
+/// config_overlap).
+[[nodiscard]] OverlapReport overlap_of(const PeerInfo& a, const PeerInfo& b);
+
 /// Parsed `collab=` settings — the api::CollabRegistry product. The
 /// registry validates/parses the namespaced `collab.*` params; the runner
 /// turns an enabled settings object into one CollabRuntime per run.
@@ -59,7 +99,7 @@ struct CollabSettings {
   bool enabled = false;               ///< false: tier fully inert ("none")
   SimTimeMs broadcast_period_ms = 5000.0;
   /// Peers farther than this base latency are never worth consulting
-  /// (also the max_peer_ms bound fed to core::peer_aware_costs).
+  /// (also the max_peer_ms bound fed to peer_aware_costs).
   double peer_threshold_ms = 400.0;
   /// Delay between learning a decided config epoch and applying it; reads
   /// completing in between are counted as stale-config reads.
@@ -121,8 +161,6 @@ class CollabRuntime {
   CollabRuntime(const CollabRuntime&) = delete;
   CollabRuntime& operator=(const CollabRuntime&) = delete;
 
-  [[nodiscard]] const CollabSettings& settings() const { return settings_; }
-
   /// Install the tier on one lane's strategy: the peer-fetch transport
   /// (ReadStrategy::enable_collab), the reconfigure observer feeding the
   /// config log, the global-scope planner hooks, and the periodic
@@ -147,10 +185,6 @@ class CollabRuntime {
   [[nodiscard]] std::uint64_t take_window_peer_hits(std::size_t lane);
   [[nodiscard]] std::uint64_t take_window_stale_reads(std::size_t lane);
 
-  [[nodiscard]] const LaneStats& lane_stats(std::size_t lane) const {
-    return lanes_[lane].stats;
-  }
-
   /// End-of-run (single-threaded, engine stopped): merge lane counters in
   /// lane order and compute the configuration-overlap ratio from each
   /// strategy's final broadcast snapshot.
@@ -161,12 +195,12 @@ class CollabRuntime {
   struct LaneState {
     /// Last broadcast received from each lane (region == kInvalidRegion
     /// until the first delivery).
-    std::vector<core::PeerInfo> directory;
+    std::vector<PeerInfo> directory;
     /// Current partition group; empty = fully connected.
     std::unordered_set<RegionId> partition;
     /// Peers visible at the last reconfiguration (rebuilt by the
     /// merge-popularity hook, reused by the per-key cost hook).
-    std::vector<core::PeerInfo> planning_peers;
+    std::vector<PeerInfo> planning_peers;
     std::uint64_t reconfig_seq = 0;
     std::uint64_t learned_epoch = 0;
     std::uint64_t applied_epoch = 0;
@@ -183,14 +217,14 @@ class CollabRuntime {
                   std::size_t bytes, bool ok);
   void broadcast(std::size_t lane, client::ReadStrategy& strategy);
   void deliver(std::size_t to_lane, std::size_t from_lane,
-               core::PeerInfo info);
+               PeerInfo info);
   void on_reconfigure(std::size_t lane);
   /// Lane 0 only: run the append against the replicated log and post the
   /// outcome (and, on success, the decided epoch) back out.
   void serve_append(std::size_t lane, const std::string& record);
   void record_append(std::size_t lane, const paxos::AppendOutcome& outcome);
   void learn(std::size_t lane, std::uint64_t epoch);
-  [[nodiscard]] std::vector<core::PeerInfo> visible_peers(
+  [[nodiscard]] std::vector<PeerInfo> visible_peers(
       std::size_t lane) const;
   std::vector<std::pair<ObjectKey, double>> merge_popularity(
       std::size_t lane, std::vector<std::pair<ObjectKey, double>> local);

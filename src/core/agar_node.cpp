@@ -1,5 +1,7 @@
 #include "core/agar_node.hpp"
 
+#include <stdexcept>
+
 namespace agar::core {
 
 namespace {
@@ -33,25 +35,18 @@ void AgarNode::reconfigure() {
 
 sim::EventLoop::TimerId AgarNode::attach_to_loop(
     sim::EventLoop& loop, std::function<void()> after_reconfigure) {
-  // With the network on this loop, probing is asynchronous: the timer
-  // fires a probe round and the reconfiguration runs once the probes have
-  // landed. Standalone uses (no bound network loop) keep the synchronous
-  // probe so the node works without event plumbing.
-  auto apply = [this, after = std::move(after_reconfigure)]() {
-    cache_manager_.reconfigure();
-    if (after) after();
-  };
-  if (network_->loop() == &loop) {
-    reconfig_timer_ = region_manager_.schedule_probe_pipeline(
-        loop, params_.reconfig_period_ms, std::move(apply));
-  } else {
-    reconfig_timer_ = loop.schedule_periodic(
-        params_.reconfig_period_ms, [this, apply = std::move(apply)]() {
-          region_manager_.probe();
-          apply();
-          return true;
-        });
+  // Probing is asynchronous: the timer fires a probe round and the
+  // reconfiguration runs once the probes have landed on this loop.
+  if (network_->loop() != &loop) {
+    throw std::logic_error(
+        "AgarNode::attach_to_loop: the network must be bound to the loop");
   }
+  reconfig_timer_ = region_manager_.schedule_probe_pipeline(
+      loop, params_.reconfig_period_ms,
+      [this, after = std::move(after_reconfigure)]() {
+        cache_manager_.reconfigure();
+        if (after) after();
+      });
   return reconfig_timer_;
 }
 

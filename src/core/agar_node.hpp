@@ -44,10 +44,10 @@ class AgarNode {
   void reconfigure();
 
   /// Schedule periodic reconfiguration (and a latency probe before each)
-  /// on the simulation loop. If the network is bound to `loop`, probes run
-  /// as background fetch events and each reconfiguration waits for its
-  /// probe round to land; otherwise the probe falls back to the
-  /// synchronous path. `after_reconfigure` (optional) runs after each
+  /// on the simulation loop, which the network must be bound to (throws
+  /// std::logic_error otherwise): probes run as background fetch events
+  /// and each reconfiguration waits for its probe round to land.
+  /// `after_reconfigure` (optional) runs after each
   /// reconfiguration — the Agar strategy hangs its population downloads
   /// there. Returns the timer handle (also kept internally).
   sim::EventLoop::TimerId attach_to_loop(

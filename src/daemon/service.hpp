@@ -19,6 +19,7 @@
 #include <string>
 
 #include "api/run.hpp"
+#include "client/lane_recorder.hpp"
 #include "daemon/protocol.hpp"
 #include "daemon/routing.hpp"
 #include "sim/event_loop.hpp"
@@ -57,8 +58,8 @@ class ServiceInstance {
   /// operator path, live behind the REPAIR control command).
   [[nodiscard]] store::RepairReport repair();
 
-  /// End-of-run result assembled exactly as the runner's lane merge; the
-  /// server serializes it through client::results_json.
+  /// End-of-run result through the runner's lane merge; the server
+  /// serializes it through client::results_json.
   [[nodiscard]] client::RunResult snapshot();
 
   /// Reads served so far (daemon-level counters).
@@ -70,7 +71,7 @@ class ServiceInstance {
   std::unique_ptr<client::Deployment> deployment_;
   sim::EventLoop loop_;
   std::unique_ptr<client::ReadStrategy> strategy_;
-  client::RunResult partial_;  ///< completion counters, as the runner records
+  client::LaneRecorder recorder_;  ///< the runner's per-lane accounting
 };
 
 }  // namespace agar::daemon

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 
 namespace agar::core {
 namespace {
@@ -117,10 +118,19 @@ TEST_F(AgarNodeTest, AttachToLoopReconfiguresPeriodically) {
   AgarNode node(&backend_, &network_, p);
   node.warm_up();
   sim::EventLoop loop;
+  network_.bind_loop(&loop);
   node.attach_to_loop(loop);
   for (int i = 0; i < 20; ++i) (void)node.plan_read("object0");
-  loop.run_until(3500.0);
+  // Each reconfiguration waits for its asynchronous probe round to land,
+  // so the pipeline trails the 1 s timer.
+  loop.run_until(5500.0);
   EXPECT_EQ(node.cache_manager().reconfigurations(), 3u);
+}
+
+TEST_F(AgarNodeTest, AttachToLoopRequiresNetworkOnLoop) {
+  AgarNode node(&backend_, &network_, params());
+  sim::EventLoop loop;
+  EXPECT_THROW(node.attach_to_loop(loop), std::logic_error);
 }
 
 TEST_F(AgarNodeTest, FullHitPlanHasNoBackendFetches) {

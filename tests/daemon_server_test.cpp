@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <fstream>
+#include <ostream>
 #include <regex>
 #include <string>
 #include <thread>
@@ -38,16 +39,34 @@ std::string route_spec(const std::string& system, const std::string& extra) {
          extra + "}";
 }
 
+/// The "hot" route's system and extra spec keys.
+struct HotRoute {
+  const char* name;  ///< gtest parameter label
+  const char* system;
+  const char* extra;
+};
+
+void PrintTo(const HotRoute& route, std::ostream* os) { *os << route.name; }
+
+/// LRU-5: no control plane, fail-fast fetches.
+constexpr HotRoute kLru5{"lru5", "lru",
+                         R"(, "chunks": 5, "cache_bytes": "200KB")"};
+/// Agar with hedged fetches and a 2 s period: exercises the control-plane
+/// and fetch-policy counters of the lane merge.
+constexpr HotRoute kAgarHedge{
+    "agar_hedge", "agar",
+    R"(, "fetch": "hedge", "period_s": 2, "cache_bytes": "200KB")"};
+
 std::string write_config(const std::string& path, const std::string& listen,
                          const std::string& default_system,
-                         const std::string& default_extra = "") {
+                         const std::string& default_extra = "",
+                         const HotRoute& hot = kLru5) {
   const std::string text = R"({
     "listen": ")" + listen +
                            R"(",
     "routes": [
       {"name": "hot", "tag": "hot", "spec": )" +
-                           route_spec("lru", R"(, "chunks": 5,
-                             "cache_bytes": "200KB")") +
+                           route_spec(hot.system, hot.extra) +
                            R"(},
       {"name": "default", "spec": )" +
                            route_spec(default_system, default_extra) + R"(}
@@ -201,10 +220,14 @@ TEST_F(ServerFixture, SighupTriggersReload) {
   server->stop();
 }
 
+class EquivalenceFixture : public ServerFixture,
+                           public ::testing::WithParamInterface<HotRoute> {};
+
 // The acceptance contract: serving the runner's exact key stream over the
 // socket, then draining, yields the same results_json as the in-process
 // batch run of the same spec — modulo planning_ms, which is wall clock.
-TEST_F(ServerFixture, MetricsMatchInProcessRunForReplayedStream) {
+TEST_P(EquivalenceFixture, MetricsMatchInProcessRunForReplayedStream) {
+  write_config(config_path_, socket_path_, "backend", "", GetParam());
   auto server = start_server();
 
   DaemonConfig config = load_daemon_config(config_path_);
@@ -241,6 +264,12 @@ TEST_F(ServerFixture, MetricsMatchInProcessRunForReplayedStream) {
       << "daemon:\n" << daemon_norm << "\nin-process:\n" << inproc_norm;
   server->stop();
 }
+
+INSTANTIATE_TEST_SUITE_P(HotRoutes, EquivalenceFixture,
+                         ::testing::Values(kLru5, kAgarHedge),
+                         [](const ::testing::TestParamInfo<HotRoute>& route) {
+                           return std::string(route.param.name);
+                         });
 
 }  // namespace
 }  // namespace agar::daemon
