@@ -1,13 +1,21 @@
-// Cache collaboration extension (§VI): broadcast, overlap, peer-aware costs.
-#include "core/collaboration.hpp"
+// Cache collaboration extension (§VI): the broadcast snapshot,
+// configuration overlap and peer-aware chunk costs the cooperative tier
+// is built on.
+#include "collab/collab.hpp"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
-namespace agar::core {
+#include "client/agar_strategy.hpp"
+
+namespace agar {
 namespace {
 
+/// Agar caches in any region over one six-region metadata-only backend:
+/// the broadcast and planning pieces below the CollabRuntime.
 class CollaborationTest : public ::testing::Test {
  protected:
   CollaborationTest()
@@ -20,14 +28,24 @@ class CollaborationTest : public ::testing::Test {
     }
   }
 
-  std::unique_ptr<AgarNode> make_node(RegionId region) {
-    AgarNodeParams p;
+  std::unique_ptr<client::AgarStrategy> make_cache(RegionId region) {
+    client::ClientContext ctx;
+    ctx.backend = &backend_;
+    ctx.network = &network_;
+    ctx.region = region;
+    core::AgarNodeParams p;
     p.region = region;
     p.cache_capacity_bytes = 10_MB;
     p.cache_manager.candidate_weights = {1, 3, 5, 7, 9};
-    auto node = std::make_unique<AgarNode>(&backend_, &network_, p);
-    node->warm_up();
-    return node;
+    auto cache = std::make_unique<client::AgarStrategy>(ctx, p);
+    cache->warm_up();
+    return cache;
+  }
+
+  /// Make object0 hot in `cache` and install a configuration for it.
+  static void configure_hot_object(client::AgarStrategy& cache) {
+    for (int i = 0; i < 50; ++i) (void)cache.node().plan_read("object0");
+    cache.node().reconfigure();
   }
 
   sim::Topology topology_;
@@ -36,54 +54,27 @@ class CollaborationTest : public ::testing::Test {
 };
 
 TEST_F(CollaborationTest, BroadcastContainsConfiguredChunks) {
-  auto node = make_node(sim::region::kFrankfurt);
-  for (int i = 0; i < 50; ++i) (void)node->plan_read("object0");
-  node->reconfigure();
-  const PeerInfo info = broadcast_info(*node);
+  auto cache = make_cache(sim::region::kFrankfurt);
+  configure_hot_object(*cache);
+  const collab::PeerInfo info = cache->collab_info();
   EXPECT_EQ(info.region, sim::region::kFrankfurt);
   std::size_t expected = 0;
   for (const auto& [key, opt] :
-       node->cache_manager().current().entries) {
+       cache->node().cache_manager().current().entries) {
     expected += opt.chunks.size();
   }
   EXPECT_EQ(info.configured_chunks.size(), expected);
   EXPECT_FALSE(info.popularity.empty());
 }
 
-TEST_F(CollaborationTest, AddNullNodeThrows) {
-  CollaborationGroup group;
-  EXPECT_THROW(group.add_node(nullptr), std::invalid_argument);
-}
-
-TEST_F(CollaborationTest, ExchangePublishesAllMembers) {
-  auto fra = make_node(sim::region::kFrankfurt);
-  auto dub = make_node(sim::region::kDublin);
-  CollaborationGroup group;
-  group.add_node(fra.get());
-  group.add_node(dub.get());
-  group.exchange();
-  EXPECT_EQ(group.peers().size(), 2u);
-  EXPECT_EQ(group.peers_of(sim::region::kFrankfurt).size(), 1u);
-  EXPECT_EQ(group.peers_of(sim::region::kFrankfurt)[0].region,
-            sim::region::kDublin);
-}
-
 TEST_F(CollaborationTest, OverlapBetweenSimilarWorkloads) {
-  auto fra = make_node(sim::region::kFrankfurt);
-  auto dub = make_node(sim::region::kDublin);
   // Same hot object in both regions -> overlapping configurations.
-  for (int i = 0; i < 50; ++i) {
-    (void)fra->plan_read("object0");
-    (void)dub->plan_read("object0");
-  }
-  fra->reconfigure();
-  dub->reconfigure();
-  CollaborationGroup group;
-  group.add_node(fra.get());
-  group.add_node(dub.get());
-  group.exchange();
-  const OverlapReport report =
-      group.overlap(sim::region::kFrankfurt, sim::region::kDublin);
+  auto fra = make_cache(sim::region::kFrankfurt);
+  auto dub = make_cache(sim::region::kDublin);
+  configure_hot_object(*fra);
+  configure_hot_object(*dub);
+  const collab::OverlapReport report =
+      collab::overlap_of(fra->collab_info(), dub->collab_info());
   EXPECT_GT(report.chunks_a, 0u);
   EXPECT_GT(report.chunks_b, 0u);
   EXPECT_GT(report.shared, 0u);
@@ -91,33 +82,23 @@ TEST_F(CollaborationTest, OverlapBetweenSimilarWorkloads) {
   EXPECT_LE(report.shared_fraction(), 1.0);
 }
 
-TEST_F(CollaborationTest, OverlapUnknownRegionThrows) {
-  CollaborationGroup group;
-  auto fra = make_node(sim::region::kFrankfurt);
-  group.add_node(fra.get());
-  group.exchange();
-  EXPECT_THROW((void)group.overlap(sim::region::kFrankfurt,
-                                   sim::region::kSydney),
-               std::invalid_argument);
-}
-
 TEST_F(CollaborationTest, PeerAwareCostsDiscountNearbyPeerChunks) {
   // Dublin caches chunk "object0#4"; a Frankfurt planner should see that
   // chunk cheaper than its Tokyo home region.
-  PeerInfo dublin;
+  collab::PeerInfo dublin;
   dublin.region = sim::region::kDublin;
   dublin.configured_chunks.insert(ChunkId{"object0", 4}.cache_key());
 
-  std::vector<ChunkCost> costs;
+  std::vector<core::ChunkCost> costs;
   for (ChunkIndex i = 0; i < 12; ++i) {
     const RegionId region = i % 6;
-    costs.push_back(ChunkCost{
+    costs.push_back(core::ChunkCost{
         i, region,
         topology_.base_latency_ms(sim::region::kFrankfurt, region)});
   }
   const auto adjusted =
-      peer_aware_costs(costs, "object0", {dublin}, topology_,
-                       sim::region::kFrankfurt, 0.75, 400.0);
+      collab::peer_aware_costs(costs, "object0", {dublin}, topology_,
+                               sim::region::kFrankfurt, 0.75, 400.0);
   // Chunk 4 (Tokyo, 1130 ms base) now costs the Dublin peer fetch:
   // 100 ms * 0.75 = 75 ms.
   EXPECT_DOUBLE_EQ(adjusted[4].latency_ms, 75.0);
@@ -126,28 +107,28 @@ TEST_F(CollaborationTest, PeerAwareCostsDiscountNearbyPeerChunks) {
 }
 
 TEST_F(CollaborationTest, PeerAwareCostsIgnoreDistantPeers) {
-  PeerInfo sydney;
+  collab::PeerInfo sydney;
   sydney.region = sim::region::kSydney;
   sydney.configured_chunks.insert(ChunkId{"object0", 4}.cache_key());
 
-  std::vector<ChunkCost> costs{{4, sim::region::kTokyo, 1100.0}};
+  std::vector<core::ChunkCost> costs{{4, sim::region::kTokyo, 1100.0}};
   // Sydney is 1200 ms from Frankfurt > max_peer_ms 400: no discount.
-  const auto adjusted = peer_aware_costs(
+  const auto adjusted = collab::peer_aware_costs(
       costs, "object0", {sydney}, topology_, sim::region::kFrankfurt);
   EXPECT_DOUBLE_EQ(adjusted[0].latency_ms, 1100.0);
 }
 
 TEST_F(CollaborationTest, PeerAwareCostsNeverIncrease) {
-  PeerInfo dublin;
+  collab::PeerInfo dublin;
   dublin.region = sim::region::kDublin;
   dublin.configured_chunks.insert(ChunkId{"object0", 0}.cache_key());
   // Local chunk already cheaper than the peer fetch (100 ms * 0.75 = 75):
   // keep the original.
-  std::vector<ChunkCost> costs{{0, sim::region::kFrankfurt, 70.0}};
-  const auto adjusted = peer_aware_costs(
+  std::vector<core::ChunkCost> costs{{0, sim::region::kFrankfurt, 70.0}};
+  const auto adjusted = collab::peer_aware_costs(
       costs, "object0", {dublin}, topology_, sim::region::kFrankfurt);
   EXPECT_DOUBLE_EQ(adjusted[0].latency_ms, 70.0);
 }
 
 }  // namespace
-}  // namespace agar::core
+}  // namespace agar
