@@ -56,13 +56,14 @@ int main() {
       rows);
 
   // (b) Reader + writer mix: invalidations force re-population. The Agar
-  // reader comes from the api registry, like every other system.
+  // reader comes from the api registry, like every other system, and runs
+  // on the simulation's event loop.
   const auto reader_spec = api::ExperimentSpec::from_pairs(
       {"system=agar", "region=frankfurt", "cache_bytes=10MB"});
-  const auto strategy =
-      api::make_strategy(reader_spec, deployment, sim::region::kFrankfurt);
+  sim::EventLoop loop;
+  const auto strategy = api::make_strategy(reader_spec, deployment,
+                                           sim::region::kFrankfurt, loop);
   auto& reader = *dynamic_cast<client::AgarStrategy*>(strategy.get());
-  reader.warm_up();
   coherence.attach_cache(sim::region::kFrankfurt, &reader.node().cache(), 12);
 
   client::WriterContext wctx;
@@ -74,9 +75,10 @@ int main() {
 
   client::Workload workload(client::WorkloadSpec::zipfian(1.1), 50, 11);
   stats::Histogram read_only, with_writes;
-  // Warm phase, no writer.
+  // Warm phase, no writer; then a period of virtual time for the periodic
+  // reconfiguration and its background population downloads.
   for (int i = 0; i < 200; ++i) (void)reader.read(workload.next_key());
-  reader.reconfigure();
+  loop.run_until(loop.now() + reader_spec.experiment.reconfig_period_ms);
   for (int i = 0; i < 300; ++i) {
     read_only.add(reader.read(workload.next_key()).latency_ms);
   }

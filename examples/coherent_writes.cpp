@@ -21,16 +21,19 @@ int main() {
   client::Deployment deployment(spec.experiment.deployment);
   paxos::CoherenceCoordinator coherence(6, &deployment.network());
 
-  // Reader in Frankfurt with an Agar cache, built through the registry.
-  const auto strategy =
-      api::make_strategy(spec, deployment, spec.experiment.client_region);
+  // Reader in Frankfurt with an Agar cache, built through the registry and
+  // run on the simulation's event loop.
+  sim::EventLoop loop;
+  const auto strategy = api::make_strategy(
+      spec, deployment, spec.experiment.client_region, loop);
   auto& reader = *dynamic_cast<client::AgarStrategy*>(strategy.get());
-  reader.warm_up();
   coherence.attach_cache(sim::region::kFrankfurt, &reader.node().cache(), 12);
 
-  // Warm the cache on object0.
+  // Warm the cache on object0: reads train the request monitor, then a
+  // period of virtual time passes for the periodic reconfiguration and its
+  // background population downloads.
   for (int i = 0; i < 30; ++i) (void)reader.read("object0");
-  reader.reconfigure();
+  loop.run_until(loop.now() + spec.experiment.reconfig_period_ms);
   const auto warm = reader.read("object0");
   std::cout << "reader, cached       : " << warm.latency_ms << " ms ("
             << warm.cache_chunks << "/9 chunks from cache)\n";
@@ -47,11 +50,13 @@ int main() {
             << " ms total, of which consensus " << w.consensus_ms
             << " ms; version " << w.version << "\n";
 
-  // The reader's stale chunks are gone; the next read refetches and the
-  // repopulated cache serves the NEW bytes.
+  // The reader's stale chunks are gone; the next read refetches them, and
+  // once its background repopulation downloads have landed (a few seconds
+  // of virtual time) the cache serves the NEW bytes.
   const auto miss = reader.read("object0");
   std::cout << "reader, post-write   : " << miss.latency_ms << " ms ("
             << miss.cache_chunks << "/9 from cache -- invalidated)\n";
+  loop.run_until(loop.now() + 5'000.0);
   const auto rehit = reader.read("object0");
   const store::ObjectInfo info = deployment.backend().object_info("object0");
   std::cout << "reader, repopulated  : " << rehit.latency_ms << " ms ("

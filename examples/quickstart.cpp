@@ -25,11 +25,14 @@ int main() {
        "region=frankfurt"});
   client::Deployment deployment(base.experiment.deployment);
   const RegionId region = base.experiment.client_region;
+  // Every system runs on the simulation's event loop: reads are fetch
+  // events, and Agar reconfigures itself on the loop's periodic timer.
+  sim::EventLoop loop;
 
   // 2. Read straight from the backend: latency is dominated by the most
   //    distant of the k = 9 chunks the client must fetch.
-  const auto backend =
-      api::make_strategy(base.with({"system=backend"}), deployment, region);
+  const auto backend = api::make_strategy(base.with({"system=backend"}),
+                                          deployment, region, loop);
   const auto cold = backend->read("object0");
   std::cout << "backend read        : " << cold.latency_ms << " ms (decoded "
             << (cold.verified ? "OK" : "FAIL") << ")\n";
@@ -40,23 +43,24 @@ int main() {
   //    changes.)
   const auto lru = api::make_strategy(
       base.with({"system=lru", "chunks=9", "cache_bytes=10MB"}), deployment,
-      region);
+      region, loop);
   (void)lru->read("object0");
   const auto lru_hit = lru->read("object0");
   std::cout << "LRU-9 second read   : " << lru_hit.latency_ms
             << " ms (full hit: " << (lru_hit.full_hit ? "yes" : "no")
             << ")\n";
 
-  // 4. Agar: accesses train the request monitor; a reconfiguration installs
-  //    the knapsack-optimal mix of chunks; later reads hit the cache.
-  const auto strategy = api::make_strategy(
-      base.with({"system=agar", "cache_bytes=10MB"}), deployment, region);
+  // 4. Agar: accesses train the request monitor; the periodic
+  //    reconfiguration (every 30 s of virtual time) installs the
+  //    knapsack-optimal mix of chunks and downloads them in the background;
+  //    later reads hit the cache.
+  const auto strategy =
+      api::make_strategy(base.with({"system=agar", "cache_bytes=10MB"}),
+                         deployment, region, loop);
   auto* agar_strategy = dynamic_cast<client::AgarStrategy*>(strategy.get());
-  strategy->warm_up();
 
   for (int i = 0; i < 30; ++i) (void)strategy->read("object0");
-  agar_strategy->node().reconfigure();
-  (void)strategy->read("object0");  // populates the configured chunks
+  loop.run_until(loop.now() + base.experiment.reconfig_period_ms);
   const auto agar_hit = strategy->read("object0");
   std::cout << "Agar after reconfig : " << agar_hit.latency_ms
             << " ms (chunks from cache: " << agar_hit.cache_chunks

@@ -44,9 +44,16 @@ client::StrategyFactory make_strategy_factory(const ExperimentSpec& spec) {
 
 std::unique_ptr<client::ReadStrategy> make_strategy(
     const ExperimentSpec& spec, client::Deployment& deployment,
-    RegionId region) {
-  return make_strategy_factory(spec)(spec.experiment, deployment, region,
-                                     nullptr);
+    RegionId region, sim::EventLoop& loop) {
+  sim::Network& network = deployment.network_for(region);
+  network.set_max_outstanding_per_region(
+      spec.experiment.max_outstanding_per_region);
+  network.bind_loop(&loop);
+  auto strategy = make_strategy_factory(spec)(spec.experiment, deployment,
+                                              region, &loop);
+  strategy->warm_up();
+  strategy->attach_to_loop(loop);
+  return strategy;
 }
 
 RunReport run(const ExperimentSpec& spec) {

@@ -26,11 +26,14 @@ struct RunReport {
 [[nodiscard]] client::StrategyFactory make_strategy_factory(
     const ExperimentSpec& spec);
 
-/// Convenience for tests/examples that hold a strategy directly: build one
-/// instance for `region` against a deployment (no event loop).
+/// One ready-to-read strategy for `region`, set up the way the runner sets
+/// up a lane: the region's network gets the spec's fetch cap and is bound
+/// to `loop`, the strategy is built on `loop`, warmed up and attached (its
+/// periodic control plane, if any, is scheduled). For the daemon, tests and
+/// examples that hold a strategy directly.
 [[nodiscard]] std::unique_ptr<client::ReadStrategy> make_strategy(
     const ExperimentSpec& spec, client::Deployment& deployment,
-    RegionId region);
+    RegionId region, sim::EventLoop& loop);
 
 /// Validate and run one spec (all runs).
 [[nodiscard]] RunReport run(const ExperimentSpec& spec);

@@ -66,18 +66,9 @@ void AgarStrategy::warm_up() { node_->warm_up(); }
 void AgarStrategy::populate_configuration() {
   for (const auto& [key, option] : node_->cache_manager().current().entries) {
     for (const ChunkIndex idx : option.chunks) {
-      if (ctx_.loop != nullptr) {
-        populate_chunk_async(key, idx, node_->cache());
-      } else {
-        (void)prefetch_chunk(key, idx, node_->cache());
-      }
+      populate_chunk_async(key, idx, node_->cache());
     }
   }
-}
-
-void AgarStrategy::reconfigure() {
-  node_->reconfigure();
-  populate_configuration();
 }
 
 void AgarStrategy::attach_to_loop(sim::EventLoop& loop) {
@@ -87,7 +78,7 @@ void AgarStrategy::attach_to_loop(sim::EventLoop& loop) {
   // configuration recomputed and the population downloads started. The
   // reconfigure observer (collab config log) runs after the population
   // kicks off, with the installed configuration current.
-  reconfig_timer_ = node_->attach_to_loop(loop, [this] {
+  node_->attach_to_loop(loop, [this] {
     populate_configuration();
     if (on_reconfigure_) on_reconfigure_();
   });

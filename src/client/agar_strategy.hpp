@@ -27,13 +27,6 @@ class AgarStrategy final : public ReadStrategy {
   void warm_up() override;
   void attach_to_loop(sim::EventLoop& loop) override;
 
-  /// One reconfiguration plus the a-priori population downloads for every
-  /// configured-but-missing chunk (paper §IV-A; performed by the
-  /// population thread pool, off the read path). Synchronous variant for
-  /// loop-less callers; the periodic pipeline on the loop runs the same
-  /// steps as events (async probe round, then reconfigure + population).
-  void reconfigure();
-
   [[nodiscard]] core::AgarNode& node() { return *node_; }
 
   [[nodiscard]] const cache::CacheEngine* cache_engine() const override {
@@ -55,19 +48,13 @@ class AgarStrategy final : public ReadStrategy {
   /// planner runs at global scope (planner.scope=global); no-op otherwise.
   void set_collab_hooks(const core::CollabPlannerHooks& hooks) override;
 
-  /// Cancel handle of the periodic reconfiguration (0 until attached);
-  /// pass to EventLoop::cancel to stop the control plane mid-run.
-  [[nodiscard]] sim::EventLoop::TimerId reconfig_timer() const {
-    return reconfig_timer_;
-  }
-
  private:
-  /// Download every configured-but-missing chunk: background events through
-  /// the coalescing table when a loop is attached, synchronous otherwise.
+  /// The a-priori population downloads (paper §IV-A: the population pool,
+  /// off the read path): every configured-but-missing chunk becomes a
+  /// background fetch through the coalescing table.
   void populate_configuration();
 
   std::unique_ptr<core::AgarNode> node_;
-  sim::EventLoop::TimerId reconfig_timer_ = 0;
 };
 
 }  // namespace agar::client

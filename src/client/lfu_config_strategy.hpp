@@ -44,22 +44,12 @@ class LfuConfigStrategy final : public ReadStrategy {
   void warm_up() override;
   void attach_to_loop(sim::EventLoop& loop) override;
 
-  /// Recompute the configuration now: probe synchronously, then apply.
-  /// (On the loop, the periodic pipeline probes asynchronously instead.)
-  void reconfigure();
-
   [[nodiscard]] cache::StaticConfigCache& cache() { return cache_; }
   [[nodiscard]] const cache::CacheEngine* cache_engine() const override {
     return &cache_;
   }
   [[nodiscard]] core::RequestMonitor& monitor() { return monitor_; }
   [[nodiscard]] const LfuConfigParams& params() const { return params_; }
-
-  /// Cancel handle of the periodic reconfiguration (0 until attached);
-  /// pass to EventLoop::cancel to stop the control plane mid-run.
-  [[nodiscard]] sim::EventLoop::TimerId reconfig_timer() const {
-    return reconfig_timer_;
-  }
 
  private:
   /// The c most-distant of the k needed chunks of `key` (most distant
@@ -71,7 +61,6 @@ class LfuConfigStrategy final : public ReadStrategy {
   void apply_configuration();
 
   LfuConfigParams params_;
-  sim::EventLoop::TimerId reconfig_timer_ = 0;
   cache::StaticConfigCache cache_;
   core::RegionManager region_manager_;
   core::RequestMonitor monitor_;

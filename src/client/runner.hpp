@@ -293,8 +293,9 @@ struct ExperimentResult {
 /// Builds one strategy instance per client region. The runner owns no
 /// knowledge of concrete systems — api::make_strategy_factory turns a
 /// declarative ExperimentSpec into one of these via the registries, and
-/// tests can hand-roll them. `loop` may be null (the synchronous wrapper
-/// path); the config passed at call time is the experiment being run.
+/// tests can hand-roll them. `loop` is the loop the strategy runs on, with
+/// the region's network already bound to it; the config passed at call time
+/// is the experiment being run.
 using StrategyFactory = std::function<std::unique_ptr<ReadStrategy>(
     const ExperimentConfig& config, Deployment& deployment,
     RegionId client_region, sim::EventLoop* loop)>;

@@ -6,9 +6,9 @@
 // loop: chunk fetches begin on the network (which enforces per-region
 // concurrency limits), duplicate fetches coalesce in the strategy's
 // in-flight table, and `done` fires at the virtual time the read completes
-// — so concurrent clients genuinely overlap on the timeline. A thin
-// synchronous `read(key)` wrapper drives a loop to completion for tests and
-// simple callers.
+// — so concurrent clients genuinely overlap on the timeline. Every strategy
+// runs on an attached loop; `read(key)` is a thin wrapper that steps that
+// loop until one read completes (the daemon and tests use it).
 #pragma once
 
 #include <map>
@@ -62,8 +62,8 @@ struct ClientContext {
   /// backend's shared codec; lane-parallel runs install a per-lane clone
   /// so the decode-plan cache is never shared across shard threads.
   const ec::ObjectCodec* codec = nullptr;
-  /// Loop that reads run on. May be null: the synchronous wrapper then
-  /// spins up a private loop per read (tests, simple examples).
+  /// Loop that reads run on; `network` must be bound to it. Null until the
+  /// strategy is attached: reads on an unattached strategy throw.
   sim::EventLoop* loop = nullptr;
   RegionId region = 0;
   /// Simulated decode cost: ms per MB of object decoded (CPU time of the
@@ -92,9 +92,10 @@ class ReadStrategy {
   /// events and invokes `done` exactly once when the read completes.
   virtual void start_read(const ObjectKey& key, ReadCallback done) = 0;
 
-  /// Thin synchronous wrapper: starts the read and drives the loop until
-  /// it completes. With no loop in the context, a private loop serves just
-  /// this read (and its trailing population events).
+  /// Thin synchronous wrapper: starts the read and steps the attached loop
+  /// until it completes; other events (timers, populations, other clients'
+  /// fetches) interleave as they would in a real run. Throws
+  /// std::logic_error when no loop is attached.
   [[nodiscard]] ReadResult read(const ObjectKey& key);
 
   [[nodiscard]] virtual std::string name() const = 0;
@@ -218,11 +219,6 @@ class ReadStrategy {
   /// the transfer lands. Off the latency path. No-op if already resident.
   void populate_chunk_async(const ObjectKey& key, ChunkIndex index,
                             cache::CacheEngine& cache);
-
-  /// Synchronous population for loop-less callers (tests drive reconfigure
-  /// directly). Returns true if the chunk is resident afterwards.
-  bool prefetch_chunk(const ObjectKey& key, ChunkIndex index,
-                      cache::CacheEngine& cache);
 
   /// Payload to install for a populated chunk (in verify mode, a shared
   /// handle to the backend's buffer — no copy).

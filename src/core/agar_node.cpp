@@ -33,21 +33,20 @@ void AgarNode::reconfigure() {
   cache_manager_.reconfigure();
 }
 
-sim::EventLoop::TimerId AgarNode::attach_to_loop(
-    sim::EventLoop& loop, std::function<void()> after_reconfigure) {
+void AgarNode::attach_to_loop(sim::EventLoop& loop,
+                              std::function<void()> after_reconfigure) {
   // Probing is asynchronous: the timer fires a probe round and the
   // reconfiguration runs once the probes have landed on this loop.
   if (network_->loop() != &loop) {
     throw std::logic_error(
         "AgarNode::attach_to_loop: the network must be bound to the loop");
   }
-  reconfig_timer_ = region_manager_.schedule_probe_pipeline(
+  region_manager_.schedule_probe_pipeline(
       loop, params_.reconfig_period_ms,
       [this, after = std::move(after_reconfigure)]() {
         cache_manager_.reconfigure();
         if (after) after();
       });
-  return reconfig_timer_;
 }
 
 ReadPlan AgarNode::plan_read(const ObjectKey& key) {

@@ -49,13 +49,9 @@ class AgarNode {
   /// and each reconfiguration waits for its probe round to land.
   /// `after_reconfigure` (optional) runs after each
   /// reconfiguration — the Agar strategy hangs its population downloads
-  /// there. Returns the timer handle (also kept internally).
-  sim::EventLoop::TimerId attach_to_loop(
-      sim::EventLoop& loop, std::function<void()> after_reconfigure = {});
-
-  [[nodiscard]] sim::EventLoop::TimerId reconfig_timer() const {
-    return reconfig_timer_;
-  }
+  /// there.
+  void attach_to_loop(sim::EventLoop& loop,
+                      std::function<void()> after_reconfigure = {});
 
   /// Resolve one read. Records the access in the request monitor.
   [[nodiscard]] ReadPlan plan_read(const ObjectKey& key);
@@ -73,7 +69,6 @@ class AgarNode {
  private:
   const store::BackendCluster* backend_;  // non-owning
   sim::Network* network_;                 // non-owning
-  sim::EventLoop::TimerId reconfig_timer_ = 0;
   AgarNodeParams params_;
   cache::StaticConfigCache cache_;
   RegionManager region_manager_;

@@ -51,10 +51,8 @@ class RegionManager {
   /// periodic-LFU baseline: a warm-up probe round at t=0 if nothing has
   /// probed yet, then every `period` an asynchronous probe round followed
   /// by `apply` (reconfigure + population) once the round's fetches land.
-  /// Returns the periodic timer's cancel handle.
-  sim::EventLoop::TimerId schedule_probe_pipeline(sim::EventLoop& loop,
-                                                  SimTimeMs period,
-                                                  std::function<void()> apply);
+  void schedule_probe_pipeline(sim::EventLoop& loop, SimTimeMs period,
+                               std::function<void()> apply);
 
   /// Estimated chunk-fetch latency from the local region to `region`.
   [[nodiscard]] double estimate_ms(RegionId region) const;

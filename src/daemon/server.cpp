@@ -306,12 +306,15 @@ void Server::handle_connection(int fd) {
   } catch (const std::exception&) {
     // Torn connection (reset mid-frame, write to a closed peer): drop it.
   }
-  ::close(fd);
   {
+    // Erase before closing: once closed, the number can be reissued by
+    // accept(), and a late erase would drop the new connection from the
+    // set that stop() shuts down.
     const std::lock_guard<std::mutex> lock(mutex_);
     conn_fds_.erase(fd);
     --stats_.active_connections;
   }
+  ::close(fd);
   if (want_stop) request_stop();
 }
 

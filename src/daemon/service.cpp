@@ -18,15 +18,8 @@ ServiceInstance::ServiceInstance(const RouteRule& rule) : rule_(rule) {
 
   loop_.set_scheduling_lane(0);
   loop_.reserve(1024);
-  sim::Network& network = deployment_->lane_network(0);
-  network.set_max_outstanding_per_region(config.max_outstanding_per_region);
-  network.bind_loop(&loop_);
-
-  const client::StrategyFactory factory =
-      api::make_strategy_factory(rule_.spec);
-  strategy_ = factory(config, *deployment_, config.client_region, &loop_);
-  strategy_->warm_up();
-  strategy_->attach_to_loop(loop_);
+  strategy_ = api::make_strategy(rule_.spec, *deployment_,
+                                 config.client_region, loop_);
 }
 
 GetResponse ServiceInstance::serve_get(const std::string& key,

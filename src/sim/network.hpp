@@ -8,9 +8,9 @@
 // wait in a per-region FIFO, so contention shows up as queueing latency
 // instead of being invisible to the virtual timeline.
 //
-// The legacy synchronous API (`backend_fetch` returning a latency number)
-// is kept for latency probes and for the thin synchronous read wrapper that
-// tests use; the strategy hot path goes through `begin_fetch`.
+// Every read goes through `begin_fetch`. The synchronous `backend_fetch`
+// (returning a latency number) serves the control-plane callers that are
+// not events: warm-up probes, Paxos message delays and writer uploads.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +43,7 @@ class Network {
 
   /// Bind the loop that completion events are scheduled on. Must be called
   /// before `begin_fetch`. Rebinding is allowed only while no fetches are
-  /// outstanding (the synchronous read wrapper swaps in a private loop).
+  /// outstanding.
   void bind_loop(EventLoop* loop);
   [[nodiscard]] EventLoop* loop() const { return loop_; }
 
@@ -81,7 +81,8 @@ class Network {
   [[nodiscard]] std::size_t down_count() const { return down_.size(); }
 
   /// Latency for one backend chunk fetch, or nullopt if `to` is down.
-  /// Synchronous path: latency probes and loop-less test reads.
+  /// Synchronous path: warm-up probes, Paxos and the writer; no read uses
+  /// it.
   [[nodiscard]] std::optional<SimTimeMs> backend_fetch(RegionId from,
                                                        RegionId to,
                                                        std::size_t bytes);
@@ -91,7 +92,7 @@ class Network {
   [[nodiscard]] SimTimeMs cache_fetch(std::size_t bytes);
 
   /// Completion time of a parallel batch: max of the elements, 0 if empty.
-  /// Only the synchronous wrapper and tests use this now.
+  /// Reads price their cache arm with it, the writer its uploads.
   [[nodiscard]] static SimTimeMs parallel_batch_ms(
       const std::vector<SimTimeMs>& latencies);
 

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <fstream>
 #include <ostream>
 #include <regex>
@@ -218,6 +219,65 @@ TEST_F(ServerFixture, SighupTriggersReload) {
   EXPECT_TRUE(swapped) << "SIGHUP did not apply the new routing config";
   EXPECT_EQ(control.get("hot", "object1", false).status, Status::kOk);
   server->stop();
+}
+
+TEST_F(ServerFixture, StopReturnsWhileConnectionsChurn) {
+  // Short connections close while idle ones are being accepted, so a new
+  // connection can be issued the fd number another thread just closed.
+  // The server must still track it: stop() shuts every tracked connection
+  // down, and an untracked one would leave its thread parked in read()
+  // and stop() joining it forever. GET load on long-lived connections
+  // contends for the server's lock, which widens the window between a
+  // close and its bookkeeping; many idle connections over a few rounds
+  // give the race many chances to fire.
+  constexpr int kRounds = 3;
+  constexpr int kIdle = 256;
+  for (int round = 0; round < kRounds; ++round) {
+    auto server = start_server();
+    std::atomic<bool> churning{true};
+    std::vector<std::thread> churn;
+    for (int c = 0; c < 6; ++c) {
+      churn.emplace_back([&] {
+        while (churning.load()) {
+          DaemonClient connection = DaemonClient::connect_uds(socket_path_);
+          (void)connection.ping();
+        }
+      });
+    }
+    for (int c = 0; c < 2; ++c) {
+      churn.emplace_back([&] {
+        DaemonClient connection = DaemonClient::connect_uds(socket_path_);
+        while (churning.load()) {
+          (void)connection.get("hot", "object1", false);
+        }
+      });
+    }
+    std::vector<DaemonClient> idle;
+    idle.reserve(kIdle);
+    for (int i = 0; i < kIdle; ++i) {
+      idle.push_back(DaemonClient::connect_uds(socket_path_));
+      EXPECT_EQ(idle.back().ping().status, Status::kOk);
+    }
+    churning.store(false);
+    for (auto& t : churn) t.join();
+
+    // The idle connections stay open across stop().
+    std::atomic<bool> stopped{false};
+    std::thread stopper([&] {
+      server->stop();
+      stopped.store(true);
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!stopped.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    const bool stopped_in_time = stopped.load();
+    idle.clear();  // closing the client ends lets a hung stop() finish
+    stopper.join();
+    ASSERT_TRUE(stopped_in_time)
+        << "round " << round << ": stop() hung on an untracked connection";
+  }
 }
 
 class EquivalenceFixture : public ServerFixture,

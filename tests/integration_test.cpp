@@ -151,9 +151,9 @@ TEST(Integration, AgarSurvivesRegionOutageMidRun) {
   const auto spec = spec_for(
       config, {"system=agar",
                "cache_bytes=" + std::to_string(cache_for_objects(config, 4))});
+  sim::EventLoop loop;
   const auto strategy =
-      api::make_strategy(spec, deployment, config.client_region);
-  strategy->warm_up();
+      api::make_strategy(spec, deployment, config.client_region, loop);
   Workload workload(config.workload, dep.num_objects, 99);
   for (int i = 0; i < 150; ++i) {
     const auto r = strategy->read(workload.next_key());

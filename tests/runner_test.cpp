@@ -213,8 +213,7 @@ TEST(Runner, CustomFactoriesRunWithoutRegistry) {
          sim::EventLoop* loop) {
         auto spec = api::ExperimentSpec::from_pairs({"system=backend"});
         spec.experiment = cfg;
-        (void)loop;
-        return api::make_strategy(spec, deployment, region);
+        return api::make_strategy(spec, deployment, region, *loop);
       };
   const auto result = run_experiment(config, factory, "hand-rolled");
   EXPECT_EQ(result.label, "hand-rolled");

@@ -1,7 +1,9 @@
 // Read strategies: latency composition, hit accounting, verify-mode decode,
-// failure fallback.
+// failure fallback. Every strategy runs on the fixture's loop; the periodic
+// ones reach a configuration through their probe pipeline.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "client/agar_strategy.hpp"
@@ -13,6 +15,12 @@
 
 namespace agar::client {
 namespace {
+
+/// Reconfiguration period of the periodic strategies under test.
+constexpr SimTimeMs kPeriodMs = 30'000.0;
+/// Bound on a probe round plus the population downloads it triggers
+/// (infinite bandwidth: at most the slowest base latency, twice).
+constexpr SimTimeMs kSettleMs = 10'000.0;
 
 /// Build a fixed-chunks strategy with its engine from the api registry.
 std::unique_ptr<FixedChunksStrategy> make_fixed(ClientContext ctx,
@@ -30,6 +38,7 @@ class StrategyTest : public ::testing::Test {
         backend_(6, ec::CodecParams{9, 3},
                  std::make_shared<ec::RoundRobinPlacement>(false)) {
     store::populate_working_set(backend_, 5, 9000);
+    network_.bind_loop(&loop_);
   }
 
   static sim::LatencyModelParams zero_jitter() {
@@ -46,13 +55,31 @@ class StrategyTest : public ::testing::Test {
     ClientContext c;
     c.backend = &backend_;
     c.network = &network_;
+    c.loop = &loop_;
     c.region = region;
     c.decode_ms_per_mb = 0.0;  // keep latency math exact in tests
     c.verify_data = verify;
     return c;
   }
 
+  /// Warm up and attach, as the runner does: a periodic strategy's probe
+  /// pipeline starts on the loop.
+  void start(ReadStrategy& s) {
+    s.warm_up();
+    s.attach_to_loop(loop_);
+  }
+
+  /// Step the loop past the next reconfiguration: its probe round fires on
+  /// the next period boundary, and the reconfiguration and population
+  /// downloads land within kSettleMs.
+  void run_past_next_reconfiguration() {
+    const SimTimeMs next =
+        (std::floor(loop_.now() / kPeriodMs) + 1.0) * kPeriodMs;
+    loop_.run_until(next + kSettleMs);
+  }
+
   sim::Topology topology_;
+  sim::EventLoop loop_;
   sim::Network network_;
   store::BackendCluster backend_;
 };
@@ -67,6 +94,15 @@ TEST_F(StrategyTest, BackendLatencyIsSlowestNeededChunk) {
   EXPECT_EQ(r.cache_chunks, 0u);
   EXPECT_FALSE(r.partial_hit);
   EXPECT_TRUE(r.verified);
+}
+
+TEST_F(StrategyTest, ReadWithoutLoopThrows) {
+  // Strategies run only on an attached loop; reading through one that
+  // nobody attached is a programming error.
+  ClientContext c = ctx(sim::region::kFrankfurt);
+  c.loop = nullptr;
+  BackendStrategy s(c);
+  EXPECT_THROW((void)s.read("object0"), std::logic_error);
 }
 
 TEST_F(StrategyTest, BackendFromSydneyUsesItsOwnGeography) {
@@ -162,20 +198,25 @@ TEST_F(StrategyTest, EvictionLfuChargesProxyOverhead) {
   EXPECT_DOUBLE_EQ(r.latency_ms, 55.5);
 }
 
-TEST_F(StrategyTest, PeriodicLfuHitsAfterReconfiguration) {
+LfuConfigParams lfu_params(std::size_t chunks, std::size_t cache_bytes) {
   LfuConfigParams p;
-  p.chunks_per_object = 9;
-  p.cache_capacity_bytes = 100_MB;
-  LfuConfigStrategy s(ctx(sim::region::kFrankfurt), p);
-  s.warm_up();
+  p.chunks_per_object = chunks;
+  p.cache_capacity_bytes = cache_bytes;
+  p.reconfig_period_ms = kPeriodMs;
+  return p;
+}
+
+TEST_F(StrategyTest, PeriodicLfuHitsAfterReconfiguration) {
+  LfuConfigStrategy s(ctx(sim::region::kFrankfurt), lfu_params(9, 100_MB));
+  start(s);
   // Before any reconfiguration nothing is configured: full backend read
   // plus the frequency proxy's 0.5 ms.
   const ReadResult cold = s.read("object0");
   EXPECT_DOUBLE_EQ(cold.latency_ms, 1130.5);
   // After the period rolls, object0 is the most frequent and gets its 9
-  // designated chunks configured; the next read populates them on-path.
-  s.reconfigure();
-  (void)s.read("object0");
+  // designated chunks configured; the population downloads land off the
+  // read path, so the very next read is a full hit.
+  run_past_next_reconfiguration();
   const ReadResult hit = s.read("object0");
   EXPECT_TRUE(hit.full_hit);
   EXPECT_DOUBLE_EQ(hit.latency_ms, 55.5);
@@ -183,30 +224,23 @@ TEST_F(StrategyTest, PeriodicLfuHitsAfterReconfiguration) {
 }
 
 TEST_F(StrategyTest, PeriodicLfuRanksByFrequency) {
-  LfuConfigParams p;
-  p.chunks_per_object = 9;
   // Room for exactly one 9-chunk object (1000-byte chunks).
-  p.cache_capacity_bytes = 9 * 1000 + 100;
-  LfuConfigStrategy s(ctx(sim::region::kFrankfurt), p);
-  s.warm_up();
+  LfuConfigStrategy s(ctx(sim::region::kFrankfurt),
+                      lfu_params(9, 9 * 1000 + 100));
+  start(s);
   for (int i = 0; i < 5; ++i) (void)s.read("object1");
   (void)s.read("object0");
-  s.reconfigure();
+  run_past_next_reconfiguration();
   // Only the most frequent object (object1) fits the configuration.
-  (void)s.read("object1");
   EXPECT_TRUE(s.read("object1").full_hit);
   EXPECT_FALSE(s.read("object0").partial_hit);
 }
 
 TEST_F(StrategyTest, PeriodicLfuPartialChunks) {
-  LfuConfigParams p;
-  p.chunks_per_object = 5;
-  p.cache_capacity_bytes = 100_MB;
-  LfuConfigStrategy s(ctx(sim::region::kFrankfurt), p);
-  s.warm_up();
+  LfuConfigStrategy s(ctx(sim::region::kFrankfurt), lfu_params(5, 100_MB));
+  start(s);
   (void)s.read("object0");
-  s.reconfigure();
-  (void)s.read("object0");
+  run_past_next_reconfiguration();
   const ReadResult r = s.read("object0");
   // 5 most distant needed chunks cached; residual is Dublin (100 ms).
   EXPECT_EQ(r.cache_chunks, 5u);
@@ -260,6 +294,7 @@ core::AgarNodeParams agar_params(std::size_t cache_bytes) {
   core::AgarNodeParams p;
   p.region = sim::region::kFrankfurt;
   p.cache_capacity_bytes = cache_bytes;
+  p.reconfig_period_ms = kPeriodMs;
   p.cache_manager.candidate_weights = {1, 3, 5, 7, 9};
   p.cache_manager.cache_latency_ms = 55.0;
   return p;
@@ -267,7 +302,7 @@ core::AgarNodeParams agar_params(std::size_t cache_bytes) {
 
 TEST_F(StrategyTest, AgarColdReadMatchesBackendPlusMonitor) {
   AgarStrategy s(ctx(sim::region::kFrankfurt), agar_params(10_MB));
-  s.warm_up();
+  start(s);
   const ReadResult r = s.read("object0");
   EXPECT_DOUBLE_EQ(r.latency_ms, 1130.5);  // backend + 0.5 ms monitor
   EXPECT_FALSE(r.partial_hit);
@@ -276,11 +311,10 @@ TEST_F(StrategyTest, AgarColdReadMatchesBackendPlusMonitor) {
 
 TEST_F(StrategyTest, AgarReadsFromCacheAfterReconfiguration) {
   AgarStrategy s(ctx(sim::region::kFrankfurt), agar_params(100_MB));
-  s.warm_up();
+  start(s);
   for (int i = 0; i < 50; ++i) (void)s.read("object0");
-  s.node().reconfigure();
-  // Population happened during the post-reconfig reads.
-  (void)s.read("object0");
+  // The reconfiguration's population downloads land off the read path.
+  run_past_next_reconfiguration();
   const ReadResult r = s.read("object0");
   EXPECT_TRUE(r.full_hit);
   EXPECT_DOUBLE_EQ(r.latency_ms, 55.5);
@@ -292,13 +326,13 @@ TEST_F(StrategyTest, AgarPartialConfigurationsYieldPartialHits) {
   // solver spreads weights.
   AgarStrategy s(ctx(sim::region::kFrankfurt),
                  agar_params(2 * 9 * 1000 + 100));
-  s.warm_up();
+  start(s);
   for (int round = 0; round < 30; ++round) {
     for (int k = 0; k < 5; ++k) {
       (void)s.read("object" + std::to_string(k));
     }
   }
-  s.node().reconfigure();
+  run_past_next_reconfiguration();
   for (int round = 0; round < 3; ++round) {
     for (int k = 0; k < 5; ++k) {
       (void)s.read("object" + std::to_string(k));
@@ -317,7 +351,7 @@ TEST_F(StrategyTest, AgarPartialConfigurationsYieldPartialHits) {
 
 TEST_F(StrategyTest, AgarSurvivesRegionFailure) {
   AgarStrategy s(ctx(sim::region::kFrankfurt), agar_params(10_MB));
-  s.warm_up();
+  start(s);
   network_.fail_region(sim::region::kVirginia);
   const ReadResult r = s.read("object0");
   EXPECT_EQ(r.cache_chunks + r.backend_chunks, 9u);

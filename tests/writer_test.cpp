@@ -100,6 +100,8 @@ TEST_F(WriterTest, ReadYourWritesThroughAgarCache) {
   // Populate an Agar cache with object0, write a new value with coherence
   // attached, and check the stale cache entries vanish so the next read
   // refetches from the backend.
+  sim::EventLoop loop;
+  network_.bind_loop(&loop);
   ClientContext rctx;
   rctx.backend = &backend_;
   rctx.network = &network_;
@@ -107,13 +109,16 @@ TEST_F(WriterTest, ReadYourWritesThroughAgarCache) {
   core::AgarNodeParams node_params;
   node_params.region = sim::region::kFrankfurt;
   node_params.cache_capacity_bytes = 1_MB;
+  node_params.reconfig_period_ms = 30'000.0;
   node_params.cache_manager.candidate_weights = {1, 3, 5, 7, 9};
   AgarStrategy reader(rctx, node_params);
   reader.warm_up();
+  reader.attach_to_loop(loop);
 
   for (int i = 0; i < 30; ++i) (void)reader.read("object0");
-  reader.node().reconfigure();
-  (void)reader.read("object0");                  // populates the cache
+  // Past the second period boundary: the pipeline has reconfigured for
+  // object0 and its population downloads have landed.
+  loop.run_until(70'000.0);
   ASSERT_TRUE(reader.read("object0").full_hit);  // served from cache
 
   coherence_.attach_cache(sim::region::kFrankfurt, &reader.node().cache(),
