@@ -1,13 +1,16 @@
 // EC data-plane throughput harness: GF(256) bulk kernels (every runtime
 // backend vs the scalar reference), Reed-Solomon encode/decode for the
-// paper's RS(9,3), and the decode-plan cache (cold vs memoized inversion).
+// paper's RS(9,3), the decode-plan cache (cold vs memoized inversion), and
+// the verify-mode check of one read (erased rows rebuilt, rows compared).
 //
 // Self-contained (no Google Benchmark) so CI can always build and run it.
 // Default output is an aligned table; --json emits a JSON array ("BENCH
 // JSON") for artifact upload and trend tracking. --quick shrinks the
 // per-measurement budget for smoke runs.
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -17,6 +20,7 @@
 #include "ec/object_codec.hpp"
 #include "ec/reed_solomon.hpp"
 #include "gf/gf256.hpp"
+#include "store/backend.hpp"
 
 namespace {
 
@@ -160,6 +164,12 @@ void bench_rs() {
     });
     record(tag + "_cached_plan", active, chunk * 9,
            [&] { auto out = rs.reconstruct_data(degraded); });
+    // The verify-mode read path: present data chunks stay views, only the
+    // erased rows are rebuilt, into a reused scratch.
+    ec::DecodeScratch scratch;
+    record(tag + "_erased_rows", active, chunk * 9, [&] {
+      (void)rs.reconstruct_data_views(degraded, scratch);
+    }, "cached plan, views + reused scratch");
   }
 
   // Decode-plan setup cost in isolation: 64-byte chunks make the GF work
@@ -191,6 +201,24 @@ void bench_codec() {
     auto encoded = codec.encode(BytesView(payload));
     auto decoded = codec.decode(encoded.object_size, encoded.chunks);
   });
+
+  // One verify-mode read check of a 1 MB object (ReadStrategy::
+  // verify_payload): three data chunks replaced by parity, and every
+  // surviving data chunk a distinct copy, so each of the k rows is either
+  // rebuilt or compared byte for byte against the write-time chunks.
+  store::BackendCluster backend(6, ec::CodecParams{9, 3},
+                                std::make_shared<ec::RoundRobinPlacement>());
+  backend.put_object("bench", BytesView(payload));
+  const store::WrittenObject& written = backend.written("bench");
+  std::vector<ec::Chunk> degraded;
+  for (ChunkIndex i = 3; i < 12; ++i) {
+    const SharedBytes stored = *backend.get_chunk(ChunkId{"bench", i});
+    degraded.push_back(ec::Chunk{i, SharedBytes::copy_of(stored)});
+  }
+  ec::DecodeScratch scratch;
+  record("verify", active, 1_MB, [&] {
+    if (!written.matches(codec.data_views(degraded, scratch))) std::abort();
+  }, "1 MB object, 3 data rows erased, k rows checked");
 }
 
 // -------------------------------------------------------------- output

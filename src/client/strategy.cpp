@@ -301,13 +301,12 @@ void ReadStrategy::populate_chunk_async(const ObjectKey& key, ChunkIndex index,
 }
 
 bool ReadStrategy::verify_payload(const ObjectKey& key,
-                                  const std::vector<ec::Chunk>& chunks) const {
-  const store::ObjectInfo info = ctx_.backend->object_info(key);
+                                  const std::vector<ec::Chunk>& chunks) {
+  const store::WrittenObject& written = ctx_.backend->written(key);
+  if (written.data.empty()) return false;  // no bytes were ever stored
   const ec::ObjectCodec& codec =
       ctx_.codec != nullptr ? *ctx_.codec : ctx_.backend->codec();
-  const Bytes decoded = codec.decode(info.object_size, chunks);
-  const Bytes expected = deterministic_payload(key, info.object_size);
-  return decoded == expected;
+  return written.matches(codec.data_views(chunks, decode_scratch_));
 }
 
 }  // namespace agar::client

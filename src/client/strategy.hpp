@@ -226,10 +226,14 @@ class ReadStrategy {
                                                ChunkIndex index,
                                                std::size_t chunk_size) const;
 
-  /// Verify-mode helper: fetch the given chunks' real bytes from the
-  /// backend/caches is handled by subclasses; this decodes and checks.
+  /// Verify-mode check of one read's assembled chunks (subclasses gather
+  /// them from the backend and caches). Reconstructs the k data chunks —
+  /// present ones as views, erased rows into decode_scratch_ — and compares
+  /// each byte for byte against the object's write-time data chunks
+  /// (BackendCluster::written), skipping only a view that is the reference
+  /// allocation itself. Allocates nothing per read once warm.
   [[nodiscard]] bool verify_payload(const ObjectKey& key,
-                                    const std::vector<ec::Chunk>& chunks) const;
+                                    const std::vector<ec::Chunk>& chunks);
 
   ClientContext ctx_;
   core::FetchCoordinator fetcher_;
@@ -238,6 +242,9 @@ class ReadStrategy {
   /// Memoized zero buffer for latency-only cache populations: every
   /// populated chunk of one size shares it (refcount bump per put).
   mutable SharedBytes zero_payload_;
+  /// Reused decode memory for verify_payload. Per strategy, and every lane
+  /// runs its own strategy, so no two threads ever share it.
+  ec::DecodeScratch decode_scratch_;
 
  private:
   struct BatchState;

@@ -17,8 +17,10 @@ using BytesView = std::span<const std::uint8_t>;
 using BytesSpan = std::span<std::uint8_t>;
 
 /// Deterministic payload generator: produces the same bytes for the same
-/// (key, size). Used to populate the simulated backend so tests can verify
-/// end-to-end reads byte-for-byte without storing golden files.
+/// (key, size). Used to populate the simulated backend without storing
+/// golden files; store::populate_working_set checks the stored chunks
+/// against it once, at write time. Verify-mode reads compare against those
+/// write-time chunks (store::WrittenObject), not a regenerated payload.
 Bytes deterministic_payload(const std::string& key, std::size_t size);
 
 /// FNV-1a 64-bit hash over a byte range; used for payload fingerprints in

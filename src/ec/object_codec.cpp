@@ -48,18 +48,21 @@ EncodedObject ObjectCodec::encode(BytesView object) const {
   return out;
 }
 
+std::span<const BytesView> ObjectCodec::data_views(
+    const std::vector<Chunk>& chunks, DecodeScratch& scratch) const {
+  scratch.available.clear();
+  for (const auto& c : chunks) {
+    scratch.available.emplace_back(c.index, c.data.view());
+  }
+  return rs_.reconstruct_data_views(scratch.available, scratch);
+}
+
 Bytes ObjectCodec::decode(std::size_t object_size,
                           const std::vector<Chunk>& chunks) const {
-  std::vector<std::pair<std::uint32_t, BytesView>> available;
-  available.reserve(chunks.size());
-  for (const auto& c : chunks) {
-    available.emplace_back(c.index, c.data.view());
-  }
-  const std::vector<Bytes> data = rs_.reconstruct_data(available);
-
+  DecodeScratch scratch;
   Bytes object;
   object.reserve(object_size);
-  for (const auto& d : data) {
+  for (const BytesView d : data_views(chunks, scratch)) {
     const std::size_t want = object_size - object.size();
     if (want == 0) break;
     const std::size_t len = std::min(want, d.size());

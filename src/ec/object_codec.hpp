@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -44,7 +45,15 @@ class ObjectCodec {
   /// Split + encode. Always produces k+m chunks (even for empty objects).
   [[nodiscard]] EncodedObject encode(BytesView object) const;
 
-  /// Reassemble the object from any k of its chunks.
+  /// Views of the object's k data chunks (padding included) from any k of
+  /// its chunks: present data chunks zero-copy, erased rows rebuilt into
+  /// `scratch` (ReedSolomon::reconstruct_data_views, same throws). Valid
+  /// until `scratch` is reused and while `chunks` lives.
+  [[nodiscard]] std::span<const BytesView> data_views(
+      const std::vector<Chunk>& chunks, DecodeScratch& scratch) const;
+
+  /// Reassemble the object from any k of its chunks (an owning copy of
+  /// data_views with the padding stripped).
   /// `object_size` must be the original (pre-padding) size.
   [[nodiscard]] Bytes decode(std::size_t object_size,
                              const std::vector<Chunk>& chunks) const;

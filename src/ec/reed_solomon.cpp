@@ -1,8 +1,8 @@
 #include "ec/reed_solomon.hpp"
 
 #include <algorithm>
+#include <bitset>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "gf/gf256.hpp"
 
@@ -35,7 +35,7 @@ ReedSolomon::ReedSolomon(CodecParams params) : params_(params) {
 }
 
 void ReedSolomon::apply_row(const Matrix& matrix, std::size_t row,
-                            const std::vector<BytesView>& inputs,
+                            std::span<const BytesView> inputs,
                             BytesSpan out) const {
   // The first column initializes `out` outright (mul_slice writes every
   // byte, so no separate zero-fill pass over the buffer); the remaining
@@ -89,34 +89,36 @@ const Matrix& ReedSolomon::decode_plan(
       .first->second;
 }
 
-std::vector<Bytes> ReedSolomon::reconstruct_data(
-    const std::vector<std::pair<std::uint32_t, BytesView>>& available) const {
-  if (available.size() < params_.k) {
+std::span<const BytesView> ReedSolomon::reconstruct_data_views(
+    std::span<const std::pair<std::uint32_t, BytesView>> available,
+    DecodeScratch& scratch) const {
+  const std::size_t k = params_.k;
+  if (available.size() < k) {
     throw std::invalid_argument(
         "ReedSolomon::reconstruct_data: fewer than k chunks available");
   }
 
   // Take the first k distinct chunks, preferring data chunks (identity rows)
-  // so the common no-failure path is a cheap copy.
-  std::vector<std::pair<std::uint32_t, BytesView>> picked;
-  picked.reserve(params_.k);
-  std::unordered_set<std::uint32_t> seen;
+  // so the common no-failure path does no GF work at all.
+  auto& picked = scratch.picked;
+  picked.clear();
+  std::bitset<gf::kFieldSize> seen;  // total() <= 256, checked at construction
   auto take = [&](bool data_only) {
     for (const auto& [idx, bytes] : available) {
-      if (picked.size() == params_.k) break;
+      if (picked.size() == k) break;
       if (idx >= params_.total()) {
         throw std::invalid_argument(
             "ReedSolomon::reconstruct_data: chunk index out of range");
       }
-      const bool is_data = idx < params_.k;
-      if (data_only != is_data) continue;
-      if (!seen.insert(idx).second) continue;
+      const bool is_data = idx < k;
+      if (data_only != is_data || seen.test(idx)) continue;
+      seen.set(idx);
       picked.emplace_back(idx, bytes);
     }
   };
   take(/*data_only=*/true);
   take(/*data_only=*/false);
-  if (picked.size() < params_.k) {
+  if (picked.size() < k) {
     throw std::invalid_argument(
         "ReedSolomon::reconstruct_data: fewer than k distinct chunks");
   }
@@ -128,32 +130,49 @@ std::vector<Bytes> ReedSolomon::reconstruct_data(
   std::sort(picked.begin(), picked.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  std::vector<BytesView> views;
-  views.reserve(params_.k);
-  for (const auto& [idx, bytes] : picked) views.push_back(bytes);
-  check_uniform_size(views);
-  const std::size_t chunk_size = views.front().size();
+  scratch.inputs.clear();
+  for (const auto& [idx, bytes] : picked) scratch.inputs.push_back(bytes);
+  check_uniform_size(scratch.inputs);
+  const std::size_t chunk_size = scratch.inputs.front().size();
 
-  // Fast path: all k data chunks present.
-  const bool all_data = picked.back().first < params_.k;
-  std::vector<Bytes> out(params_.k, Bytes(chunk_size));
-  if (all_data) {
-    for (const auto& [idx, bytes] : picked) {
-      out[idx].assign(bytes.begin(), bytes.end());
-    }
-    return out;
+  // Present data chunks are their own reconstruction.
+  scratch.data.assign(k, BytesView{});
+  for (const auto& [idx, bytes] : picked) {
+    if (idx < k) scratch.data[idx] = bytes;
   }
+  if (picked.back().first < k) return scratch.data;  // no data row erased
 
   // General path: rows of the encoding matrix for the picked chunks form an
   // invertible k x k matrix (MDS); its inverse maps picked chunks back to
   // the original data chunks. The inverse is memoized per surviving set.
-  std::vector<std::size_t> rows;
-  rows.reserve(params_.k);
-  for (const auto& [idx, bytes] : picked) rows.push_back(idx);
-  const Matrix& decode = decode_plan(rows);
+  scratch.rows.clear();
+  for (const auto& [idx, bytes] : picked) scratch.rows.push_back(idx);
+  const Matrix& decode = decode_plan(scratch.rows);
 
-  for (std::size_t d = 0; d < params_.k; ++d) {
-    apply_row(decode, d, views, BytesSpan(out[d]));
+  // The decode row of a present data chunk is a unit vector selecting that
+  // chunk, so only the erased rows need GF work. At most min(k, m) rows can
+  // be erased; sizing for that keeps the slots' addresses stable across
+  // erasure patterns.
+  const std::size_t slots = std::min(k, params_.m) * chunk_size;
+  if (scratch.erased.size() < slots) scratch.erased.resize(slots);
+  std::uint8_t* slot = scratch.erased.data();
+  for (std::size_t d = 0; d < k; ++d) {
+    if (seen.test(d)) continue;  // picked, so present
+    const BytesSpan out(slot, chunk_size);
+    apply_row(decode, d, scratch.inputs, out);
+    scratch.data[d] = out;
+    slot += chunk_size;
+  }
+  return scratch.data;
+}
+
+std::vector<Bytes> ReedSolomon::reconstruct_data(
+    const std::vector<std::pair<std::uint32_t, BytesView>>& available) const {
+  DecodeScratch scratch;
+  std::vector<Bytes> out;
+  out.reserve(params_.k);
+  for (const BytesView d : reconstruct_data_views(available, scratch)) {
+    out.emplace_back(d.begin(), d.end());
   }
   return out;
 }
@@ -169,14 +188,15 @@ Bytes ReedSolomon::reconstruct_chunk(
   for (const auto& [idx, bytes] : available) {
     if (idx == target) return Bytes(bytes.begin(), bytes.end());
   }
-  const std::vector<Bytes> data = reconstruct_data(available);
-  if (target < params_.k) return data[target];
+  DecodeScratch scratch;
+  const std::span<const BytesView> data =
+      reconstruct_data_views(available, scratch);
+  if (target < params_.k) {
+    return Bytes(data[target].begin(), data[target].end());
+  }
 
-  std::vector<BytesView> views;
-  views.reserve(params_.k);
-  for (const auto& d : data) views.emplace_back(d);
-  Bytes out(views.front().size());
-  apply_row(encode_, target, views, BytesSpan(out));
+  Bytes out(data.front().size());
+  apply_row(encode_, target, data, BytesSpan(out));
   return out;
 }
 

@@ -12,11 +12,18 @@
 // degraded read pays zero matrix-inversion cost. Apart from that cache
 // (single-threaded use, like the rest of the simulation) the codec is
 // stateless, so one instance can be shared by every region.
+//
+// Reconstruction has one path, reconstruct_data_views: data chunks that are
+// present come back as zero-copy views and only the erased data rows are
+// rebuilt, into a caller-owned DecodeScratch that is reused across calls.
+// reconstruct_data / reconstruct_chunk are owning wrappers over it.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -36,6 +43,20 @@ struct CodecParams {
   [[nodiscard]] std::size_t total() const { return k + m; }
 };
 
+/// Caller-owned working memory for ReedSolomon::reconstruct_data_views,
+/// reused across calls: once it has seen the largest chunk size, a stream
+/// of reconstructions allocates nothing. Not shareable between threads.
+struct DecodeScratch {
+  /// Input staging for callers that hold chunks in another shape
+  /// (ObjectCodec::data_views); the codec itself only reads its argument.
+  std::vector<std::pair<std::uint32_t, BytesView>> available;
+  std::vector<std::pair<std::uint32_t, BytesView>> picked;
+  std::vector<BytesView> inputs;  ///< picked chunk bytes, canonical order
+  std::vector<std::size_t> rows;  ///< picked chunk indices (decode plan key)
+  std::vector<BytesView> data;    ///< result: views of the k data chunks
+  Bytes erased;                   ///< rebuilt data rows, one chunk apart
+};
+
 class ReedSolomon {
  public:
   explicit ReedSolomon(CodecParams params);
@@ -50,10 +71,19 @@ class ReedSolomon {
   [[nodiscard]] std::vector<Bytes> encode(
       const std::vector<BytesView>& data_chunks) const;
 
-  /// Reconstruct the k original data chunks from any k (or more) available
+  /// Views of the k original data chunks, from any k (or more) available
   /// chunks. `available[i]` pairs a chunk index in [0, k+m) with its bytes.
+  /// A data chunk present in `available` is returned as a view of those
+  /// bytes (no copy); an erased data row is rebuilt from the memoized
+  /// decode plan into `scratch`. The views are valid until `scratch` is
+  /// reused and while the `available` bytes live.
   /// Throws std::invalid_argument if fewer than k chunks are supplied,
   /// indices repeat, or sizes are ragged.
+  [[nodiscard]] std::span<const BytesView> reconstruct_data_views(
+      std::span<const std::pair<std::uint32_t, BytesView>> available,
+      DecodeScratch& scratch) const;
+
+  /// Owning copy of reconstruct_data_views (same contract and throws).
   [[nodiscard]] std::vector<Bytes> reconstruct_data(
       const std::vector<std::pair<std::uint32_t, BytesView>>& available) const;
 
@@ -79,7 +109,7 @@ class ReedSolomon {
  private:
   /// out = sum_j matrix[row][j] * inputs[j], via the fused kernel.
   void apply_row(const Matrix& matrix, std::size_t row,
-                 const std::vector<BytesView>& inputs, BytesSpan out) const;
+                 std::span<const BytesView> inputs, BytesSpan out) const;
 
   /// Inverted decode matrix for this exact (sorted, distinct) row set,
   /// served from the plan cache when the row set fits a 64-bit mask.

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -30,6 +31,24 @@ struct ObjectInfo {
   std::size_t object_size = 0;
   std::size_t chunk_size = 0;
   std::vector<ChunkLocation> locations;  // all k + m chunks
+};
+
+/// What the last write of an object stored. `data` holds handles to the k
+/// data chunks (padding included) that put_object placed in the buckets —
+/// refcounts on the same buffers, not copies. This is the verify-mode
+/// reference: it survives a bucket erase, so reads decoded from parity and
+/// chunks rebuilt by repair are checked against the write-time bytes.
+/// Empty for objects registered without payloads.
+struct WrittenObject {
+  std::size_t object_size = 0;
+  std::size_t chunk_size = 0;
+  std::vector<SharedBytes> data;
+
+  /// True if `views` (k data-chunk views, e.g. from ObjectCodec::data_views)
+  /// hold exactly these bytes: a byte-for-byte compare over the object's
+  /// bytes (padding excluded, as a decode strips it) that skips only a view
+  /// of the reference allocation itself. False when nothing was stored.
+  [[nodiscard]] bool matches(std::span<const BytesView> views) const;
 };
 
 class BackendCluster {
@@ -55,6 +74,10 @@ class BackendCluster {
   /// Stripe layout for an object. Throws std::out_of_range if unknown.
   [[nodiscard]] ObjectInfo object_info(const ObjectKey& key) const;
 
+  /// The object's last write (verify reference). Throws std::out_of_range
+  /// if unknown.
+  [[nodiscard]] const WrittenObject& written(const ObjectKey& key) const;
+
   /// Fetch one chunk payload from its region's bucket. Shares the stored
   /// buffer (refcount bump); never copies the bytes.
   [[nodiscard]] std::optional<SharedBytes> get_chunk(const ChunkId& id) const;
@@ -69,20 +92,18 @@ class BackendCluster {
   [[nodiscard]] std::vector<ObjectKey> keys() const;
 
  private:
-  struct StoredObject {
-    std::size_t object_size = 0;
-    std::size_t chunk_size = 0;
-  };
-
   ec::ObjectCodec codec_;
   std::shared_ptr<const ec::Placement> placement_;
   std::vector<Bucket> buckets_;
-  std::unordered_map<ObjectKey, StoredObject> objects_;
+  std::unordered_map<ObjectKey, WrittenObject> objects_;
 };
 
 /// Populate the backend with the paper's working set: `count` objects named
 /// "<prefix>0".."<prefix>N-1", each `object_size` bytes of deterministic
-/// pseudo-random payload (300 x 1 MB in the paper).
+/// pseudo-random payload (300 x 1 MB in the paper). Each write is checked
+/// once here: the stored data chunks must equal the generated payload, so
+/// a read verified against BackendCluster::written matches
+/// deterministic_payload(key) too. Throws std::logic_error otherwise.
 void populate_working_set(BackendCluster& backend, std::size_t count,
                           std::size_t object_size,
                           const std::string& prefix = "object");

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <vector>
 
@@ -174,6 +175,58 @@ TEST(DecodePlanCache, BackendsProduceIdenticalEncodeAndDecode) {
     EXPECT_EQ(parities[b], parities[0]);
     EXPECT_EQ(decodes[b], decodes[0]);
   }
+}
+
+TEST(DecodePlanCache, DataViewsMatchReconstructDataOnEveryPattern) {
+  // reconstruct_data_views is the one reconstruction path. For every
+  // erasure pattern, on every kernel backend, its views carry the bytes of
+  // the owning reconstruct_data, consult the decode plan exactly as often,
+  // hand present data chunks back zero-copy, and reuse the scratch: after
+  // the first inverting call its buffers never move again.
+  const Stripe stripe = make_stripe(ReedSolomon(CodecParams{kK, kM}), 333, 29);
+  for (const gf::Backend b : gf::supported_backends()) {
+    ASSERT_TRUE(gf::set_backend(b));
+    const ReedSolomon owning(CodecParams{kK, kM});
+    const ReedSolomon viewing(CodecParams{kK, kM});
+    DecodeScratch scratch;
+    const std::uint8_t* erased_slots = nullptr;
+    const BytesView* data_views = nullptr;
+    for (int sweep = 0; sweep < 2; ++sweep) {
+      for (unsigned mask = 0; mask < (1u << kTotal); ++mask) {
+        if (std::popcount(mask) != static_cast<int>(kK)) continue;
+        std::vector<std::pair<std::uint32_t, BytesView>> available;
+        for (const auto i : mask_to_indices(mask)) {
+          available.emplace_back(i, BytesView(stripe.chunks[i]));
+        }
+        const auto expected = owning.reconstruct_data(available);
+        const auto views = viewing.reconstruct_data_views(available, scratch);
+        ASSERT_EQ(views.size(), kK);
+        for (std::size_t d = 0; d < kK; ++d) {
+          ASSERT_TRUE(std::equal(views[d].begin(), views[d].end(),
+                                 expected[d].begin(), expected[d].end()))
+              << "mask=" << mask << " d=" << d;
+          if ((mask & (1u << d)) != 0) {
+            ASSERT_EQ(views[d].data(), stripe.chunks[d].data());
+          } else {
+            ASSERT_GE(views[d].data(), scratch.erased.data());
+            ASSERT_LE(views[d].data() + views[d].size(),
+                      scratch.erased.data() + scratch.erased.size());
+          }
+        }
+        ASSERT_EQ(viewing.decode_plan_hits(), owning.decode_plan_hits());
+        ASSERT_EQ(viewing.decode_plan_misses(), owning.decode_plan_misses());
+
+        if (data_views == nullptr) data_views = views.data();
+        ASSERT_EQ(views.data(), data_views);
+        if (mask_to_indices(mask).back() < kK) continue;  // nothing rebuilt
+        if (erased_slots == nullptr) erased_slots = scratch.erased.data();
+        ASSERT_EQ(scratch.erased.data(), erased_slots) << "mask=" << mask;
+      }
+    }
+    EXPECT_EQ(viewing.decode_plan_misses(), 219u);
+    EXPECT_EQ(viewing.decode_plan_hits(), 219u);
+  }
+  gf::reset_backend();
 }
 
 TEST(DecodePlanCache, ReconstructChunkUsesCacheToo) {

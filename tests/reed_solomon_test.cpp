@@ -63,6 +63,44 @@ TEST(ReedSolomon, AllDataChunksFastPath) {
   for (std::uint32_t i = 0; i < 4; ++i) EXPECT_EQ(out[i], data[i]);
 }
 
+TEST(ReedSolomon, DataViewsRebuildOnlyErasedRows) {
+  // Present data chunks come back as views of the caller's bytes; only the
+  // erased row is written into the scratch.
+  const ReedSolomon rs(CodecParams{4, 2});
+  const auto data = random_chunks(4, 64, 12);
+  const auto parity = rs.encode(views_of(data));
+  const std::vector<std::pair<std::uint32_t, BytesView>> available{
+      {5, BytesView(parity[1])},
+      {0, BytesView(data[0])},
+      {1, BytesView(data[1])},
+      {3, BytesView(data[3])}};
+  DecodeScratch scratch;
+  const auto views = rs.reconstruct_data_views(available, scratch);
+  ASSERT_EQ(views.size(), 4u);
+  for (const std::size_t d : {0u, 1u, 3u}) {
+    EXPECT_EQ(views[d].data(), data[d].data());
+  }
+  EXPECT_EQ(views[2].data(), scratch.erased.data());
+  EXPECT_EQ(Bytes(views[2].begin(), views[2].end()), data[2]);
+  EXPECT_EQ(scratch.erased.size(), 2u * 64u);  // min(k, m) slots
+}
+
+TEST(ReedSolomon, DataViewsThrowLikeReconstructData) {
+  const ReedSolomon rs(CodecParams{3, 2});
+  const auto data = random_chunks(3, 32, 13);
+  DecodeScratch scratch;
+  const std::vector<std::pair<std::uint32_t, BytesView>> duplicate{
+      {0, BytesView(data[0])}, {0, BytesView(data[0])},
+      {1, BytesView(data[1])}};
+  EXPECT_THROW((void)rs.reconstruct_data_views(duplicate, scratch),
+               std::invalid_argument);
+  const std::vector<std::pair<std::uint32_t, BytesView>> out_of_range{
+      {0, BytesView(data[0])}, {1, BytesView(data[1])},
+      {9, BytesView(data[2])}};
+  EXPECT_THROW((void)rs.reconstruct_data_views(out_of_range, scratch),
+               std::invalid_argument);
+}
+
 TEST(ReedSolomon, FewerThanKThrows) {
   const ReedSolomon rs(CodecParams{4, 2});
   const auto data = random_chunks(4, 64, 4);
