@@ -165,6 +165,17 @@ std::string results_json(const std::vector<ExperimentResult>& results) {
         }
         out << "]}";
       }
+      // Final configuration's objects per option weight (Fig. 10): present
+      // only when the strategy has a configuration, i.e. under Agar.
+      if (!run.weight_histogram.empty()) {
+        out << ", \"weight_histogram\": {";
+        bool first = true;
+        for (const auto& [weight, objects] : run.weight_histogram) {
+          out << (first ? "" : ", ") << "\"" << weight << "\": " << objects;
+          first = false;
+        }
+        out << "}";
+      }
       // Cooperative-tier telemetry: present only when a CollabRuntime ran
       // (collab=none stays byte-identical to the pre-collab format).
       if (run.collab_active) {

@@ -5,8 +5,10 @@
 // The paper solves it with a dynamic program over intermediate cache
 // configurations (POPULATE) improved by RELAX steps; we implement the same
 // program as an exact DP over capacities with per-key option groups, which
-// is the textbook-equivalent formulation (see DESIGN.md for the mapping and
-// the note on the paper's marginal-value example).
+// is the textbook-equivalent formulation. Option values are absolute
+// (popularity x the whole option's latency gain); the paper's worked
+// example adds them up per extra chunk, which sums to the same values
+// (option_generator_test).
 //
 // A greedy value-density solver is included as a baseline: §II-D argues
 // greedy can err badly on 0/1-style knapsacks, and `bench_ablation_greedy`

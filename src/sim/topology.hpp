@@ -7,7 +7,7 @@
 // and (b) the latency-vs-cached-chunks curves have the paper's Fig. 2 shape
 // for both Frankfurt (little gain until ~3 chunks are cached... large drop
 // after) and Sydney (large gain already at 3 chunks). Absolute values are
-// not the paper's measurements — see DESIGN.md §2 (substitutions).
+// not the paper's measurements — see PAPER.md, "This reproduction".
 #pragma once
 
 #include <cstddef>

@@ -57,13 +57,18 @@ TEST_F(RegionManagerTest, EstimatesTrackTopologyOrdering) {
   auto rm = make(sim::region::kFrankfurt);
   rm.probe();
   rm.probe();
-  // With ±10% jitter the widely separated base latencies keep their order.
+  // The paper's Table I order from Frankfurt: FRA < DUB < NVA < SAO < TYO <
+  // SYD. With ±10% jitter the widely separated base latencies keep it.
   EXPECT_LT(rm.estimate_ms(sim::region::kFrankfurt),
             rm.estimate_ms(sim::region::kDublin));
   EXPECT_LT(rm.estimate_ms(sim::region::kDublin),
             rm.estimate_ms(sim::region::kVirginia));
   EXPECT_LT(rm.estimate_ms(sim::region::kVirginia),
             rm.estimate_ms(sim::region::kSaoPaulo));
+  EXPECT_LT(rm.estimate_ms(sim::region::kSaoPaulo),
+            rm.estimate_ms(sim::region::kTokyo));
+  EXPECT_LT(rm.estimate_ms(sim::region::kTokyo),
+            rm.estimate_ms(sim::region::kSydney));
 }
 
 TEST_F(RegionManagerTest, EstimateNearBaseLatency) {
