@@ -83,17 +83,22 @@ std::vector<std::vector<core::CachingOption>> make_groups(std::size_t keys) {
 
 // One cold plan per iteration: this IS the per-reconfiguration planning
 // time the control plane charges (capacity in chunks: 45 = 5 MB, 90 =
-// 10 MB, ... 900 = 100 MB).
+// 10 MB, ... 900 = 100 MB). The `of_dp` counter is the plan's share of the
+// exact DP's value (paper §II-D: greedy is a poor fit for this knapsack).
 void bm_planner_cold(benchmark::State& state, const std::string& planner_name) {
   const auto capacity = static_cast<std::size_t>(state.range(0));
   const auto groups = make_groups(300);
+  auto make_planner = [&] {
+    return api::PlannerRegistry::instance().create(
+        planner_name, api::PlannerContext{}, api::ParamMap{});
+  };
   for (auto _ : state) {
     // Fresh planner per plan: stateful planners must not warm-start here.
-    auto planner = api::PlannerRegistry::instance().create(
-        planner_name, api::PlannerContext{}, api::ParamMap{});
-    auto result = planner->plan(groups, capacity);
+    auto result = make_planner()->plan(groups, capacity);
     benchmark::DoNotOptimize(result.total_value);
   }
+  state.counters["of_dp"] = make_planner()->plan(groups, capacity).total_value /
+                            core::solve_dp(groups, capacity).total_value;
 }
 
 // Steady state of the incremental planner: warm re-plans under a small
@@ -116,7 +121,7 @@ void bm_planner_warm_replan(benchmark::State& state,
   }
 }
 
-// --- a full reconfiguration (probe + roll + solve + install) ---------------
+// --- a reconfiguration's apply step (roll + solve + install) ----------------
 
 class ReconfigFixture : public benchmark::Fixture {
  public:
@@ -159,7 +164,7 @@ BENCHMARK_F(ReconfigFixture, FullReconfiguration)(benchmark::State& state) {
       (void)node_->request_monitor().record_access(
           "object" + std::to_string(i % 50));
     }
-    node_->reconfigure();
+    node_->cache_manager().reconfigure();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

@@ -28,11 +28,6 @@ AgarNode::AgarNode(const store::BackendCluster* backend, sim::Network* network,
 
 void AgarNode::warm_up() { region_manager_.probe(); }
 
-void AgarNode::reconfigure() {
-  region_manager_.probe();
-  cache_manager_.reconfigure();
-}
-
 void AgarNode::attach_to_loop(sim::EventLoop& loop,
                               std::function<void()> after_reconfigure) {
   // Probing is asynchronous: the timer fires a probe round and the

@@ -40,9 +40,6 @@ class AgarNode {
   /// region in a warm-up phase").
   void warm_up();
 
-  /// Run one reconfiguration now.
-  void reconfigure();
-
   /// Schedule periodic reconfiguration (and a latency probe before each)
   /// on the simulation loop, which the network must be bound to (throws
   /// std::logic_error otherwise): probes run as background fetch events

@@ -11,8 +11,9 @@
 // (option_generator_test).
 //
 // A greedy value-density solver is included as a baseline: §II-D argues
-// greedy can err badly on 0/1-style knapsacks, and `bench_ablation_greedy`
-// quantifies that on both adversarial and realistic instances.
+// greedy can err badly on 0/1-style knapsacks. knapsack_test pins its
+// classic adversarial failure, and bench_micro_agar's BM_PlannerCold
+// reports its share of the DP's value on realistic instances (`of_dp`).
 #pragma once
 
 #include <vector>

@@ -4,10 +4,13 @@
 // Dublin, N. Virginia, Sao Paulo, Tokyo, Sydney. The base latencies are a
 // synthetic symmetric matrix calibrated so that (a) the ordering seen from
 // Frankfurt matches the paper's Table I (FRA < DUB < NVA < SAO < TYO < SYD)
-// and (b) the latency-vs-cached-chunks curves have the paper's Fig. 2 shape
-// for both Frankfurt (little gain until ~3 chunks are cached... large drop
-// after) and Sydney (large gain already at 3 chunks). Absolute values are
-// not the paper's measurements — see PAPER.md, "This reproduction".
+// and (b) caching more chunks lowers latency at every step, as in the
+// paper's Fig. 2. The measured shapes (examples/specs/paper/fig2.json)
+// differ by region: Frankfurt gains most from the first chunk (Backend
+// 1124.5 ms -> LRU-1 618.5 ms, 45%) and less from each further one, while
+// Sydney gains little from one chunk (1555.8 -> 1485.5 ms) and a lot at 3
+// (748.4 ms). Absolute values are not the paper's measurements — see
+// PAPER.md, "This reproduction".
 #pragma once
 
 #include <cstddef>

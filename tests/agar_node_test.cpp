@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 
@@ -21,6 +22,7 @@ class AgarNodeTest : public ::testing::Test {
     for (int i = 0; i < 10; ++i) {
       backend_.register_object("object" + std::to_string(i), 1_MB);
     }
+    network_.bind_loop(&loop_);
   }
 
   AgarNodeParams params(std::size_t cache_bytes = 10_MB) {
@@ -31,6 +33,17 @@ class AgarNodeTest : public ::testing::Test {
     return p;
   }
 
+  /// Run the loop to the middle of the next reconfiguration period. The
+  /// timer at the period boundary fires a probe round, and the
+  /// configuration is applied once those probes land, well before then.
+  void run_next_period(AgarNode& node) {
+    const std::size_t before = node.cache_manager().reconfigurations();
+    const SimTimeMs period = node.params().reconfig_period_ms;
+    loop_.run_until((std::floor(loop_.now() / period) + 1.5) * period);
+    EXPECT_EQ(node.cache_manager().reconfigurations(), before + 1);
+  }
+
+  sim::EventLoop loop_;
   sim::Topology topology_;
   sim::Network network_;
   store::BackendCluster backend_;
@@ -72,8 +85,9 @@ TEST_F(AgarNodeTest, PlanRecordsAccessInMonitor) {
 TEST_F(AgarNodeTest, ConfiguredChunksMarkedForPopulation) {
   AgarNode node(&backend_, &network_, params());
   node.warm_up();
+  node.attach_to_loop(loop_);
   for (int i = 0; i < 50; ++i) (void)node.plan_read("object0");
-  node.reconfigure();
+  run_next_period(node);
   ASSERT_TRUE(node.cache_manager().current().entries.contains("object0"));
 
   const ReadPlan plan = node.plan_read("object0");
@@ -89,8 +103,9 @@ TEST_F(AgarNodeTest, ConfiguredChunksMarkedForPopulation) {
 TEST_F(AgarNodeTest, ResidentChunksComeFromCache) {
   AgarNode node(&backend_, &network_, params());
   node.warm_up();
+  node.attach_to_loop(loop_);
   for (int i = 0; i < 50; ++i) (void)node.plan_read("object0");
-  node.reconfigure();
+  run_next_period(node);
   const auto& opt = node.cache_manager().current().entries.at("object0");
 
   // Simulate the client population step.
@@ -117,13 +132,11 @@ TEST_F(AgarNodeTest, AttachToLoopReconfiguresPeriodically) {
   p.reconfig_period_ms = 1000.0;
   AgarNode node(&backend_, &network_, p);
   node.warm_up();
-  sim::EventLoop loop;
-  network_.bind_loop(&loop);
-  node.attach_to_loop(loop);
+  node.attach_to_loop(loop_);
   for (int i = 0; i < 20; ++i) (void)node.plan_read("object0");
   // Each reconfiguration waits for its asynchronous probe round to land,
   // so the pipeline trails the 1 s timer.
-  loop.run_until(5500.0);
+  loop_.run_until(5500.0);
   EXPECT_EQ(node.cache_manager().reconfigurations(), 3u);
 }
 
@@ -136,8 +149,9 @@ TEST_F(AgarNodeTest, AttachToLoopRequiresNetworkOnLoop) {
 TEST_F(AgarNodeTest, FullHitPlanHasNoBackendFetches) {
   AgarNode node(&backend_, &network_, params(100_MB));
   node.warm_up();
+  node.attach_to_loop(loop_);
   for (int i = 0; i < 100; ++i) (void)node.plan_read("object0");
-  node.reconfigure();
+  run_next_period(node);
   const auto& entries = node.cache_manager().current().entries;
   ASSERT_TRUE(entries.contains("object0"));
   const auto& opt = entries.at("object0");
@@ -156,8 +170,9 @@ TEST_F(AgarNodeTest, FullHitPlanHasNoBackendFetches) {
 TEST_F(AgarNodeTest, ReconfigurationEvictsStaleResidents) {
   AgarNode node(&backend_, &network_, params(5_MB));
   node.warm_up();
+  node.attach_to_loop(loop_);
   for (int i = 0; i < 50; ++i) (void)node.plan_read("object0");
-  node.reconfigure();
+  run_next_period(node);
   const auto opt0 = node.cache_manager().current().entries.at("object0");
   const std::size_t chunk_size = backend_.object_info("object0").chunk_size;
   for (const ChunkIndex idx : opt0.chunks) {
@@ -167,7 +182,7 @@ TEST_F(AgarNodeTest, ReconfigurationEvictsStaleResidents) {
   // Shift the workload for enough periods that object0 decays away.
   for (int period = 0; period < 8; ++period) {
     for (int i = 0; i < 100; ++i) (void)node.plan_read("object7");
-    node.reconfigure();
+    run_next_period(node);
   }
   EXPECT_FALSE(node.cache_manager().current().entries.contains("object0"));
   // Its chunks must be gone from the cache.

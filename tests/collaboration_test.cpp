@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,6 +27,7 @@ class CollaborationTest : public ::testing::Test {
     for (int i = 0; i < 6; ++i) {
       backend_.register_object("object" + std::to_string(i), 1_MB);
     }
+    network_.bind_loop(&loop_);
   }
 
   std::unique_ptr<client::AgarStrategy> make_cache(RegionId region) {
@@ -42,12 +44,22 @@ class CollaborationTest : public ::testing::Test {
     return cache;
   }
 
-  /// Make object0 hot in `cache` and install a configuration for it.
-  static void configure_hot_object(client::AgarStrategy& cache) {
-    for (int i = 0; i < 50; ++i) (void)cache.node().plan_read("object0");
-    cache.node().reconfigure();
+  /// Make object0 hot in each cache and run the loop into the middle of
+  /// the first 30 s period, by which the probe round fired at the period
+  /// boundary has landed and each cache has installed a configuration.
+  void configure_hot_object(
+      std::initializer_list<client::AgarStrategy*> caches) {
+    for (auto* cache : caches) {
+      for (int i = 0; i < 50; ++i) (void)cache->node().plan_read("object0");
+      cache->node().attach_to_loop(loop_);
+    }
+    loop_.run_until(45'000.0);
+    for (auto* cache : caches) {
+      EXPECT_EQ(cache->node().cache_manager().reconfigurations(), 1u);
+    }
   }
 
+  sim::EventLoop loop_;
   sim::Topology topology_;
   sim::Network network_;
   store::BackendCluster backend_;
@@ -55,7 +67,7 @@ class CollaborationTest : public ::testing::Test {
 
 TEST_F(CollaborationTest, BroadcastContainsConfiguredChunks) {
   auto cache = make_cache(sim::region::kFrankfurt);
-  configure_hot_object(*cache);
+  configure_hot_object({cache.get()});
   const collab::PeerInfo info = cache->collab_info();
   EXPECT_EQ(info.region, sim::region::kFrankfurt);
   std::size_t expected = 0;
@@ -71,8 +83,7 @@ TEST_F(CollaborationTest, OverlapBetweenSimilarWorkloads) {
   // Same hot object in both regions -> overlapping configurations.
   auto fra = make_cache(sim::region::kFrankfurt);
   auto dub = make_cache(sim::region::kDublin);
-  configure_hot_object(*fra);
-  configure_hot_object(*dub);
+  configure_hot_object({fra.get(), dub.get()});
   const collab::OverlapReport report =
       collab::overlap_of(fra->collab_info(), dub->collab_info());
   EXPECT_GT(report.chunks_a, 0u);
