@@ -74,6 +74,7 @@ std::vector<std::vector<core::CachingOption>> make_groups(std::size_t keys) {
       o.weight = weights[i];
       o.weight_units = weights[i];
       o.value = popularity * improvement[i];
+      o.popularity = popularity;
       group.push_back(std::move(o));
     }
     groups.push_back(std::move(group));

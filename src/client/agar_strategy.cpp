@@ -1,14 +1,28 @@
 #include "client/agar_strategy.hpp"
 
+#include <algorithm>
 #include <memory>
 
 #include "api/registry.hpp"
+#include "client/backend_strategy.hpp"
 #include "client/runner.hpp"
 #include "collab/collab.hpp"
 
 namespace agar::client {
 
 namespace {
+
+/// The node wiring both periodic systems share.
+core::AgarNodeParams node_params(const api::StrategyContext& ctx,
+                                 const api::ParamMap& params) {
+  core::AgarNodeParams p;
+  p.region = ctx.client->region;
+  p.cache_capacity_bytes = params.get_size("cache_bytes", 10_MB);
+  p.reconfig_period_ms = ctx.experiment->reconfig_period_ms;
+  p.cache_manager.cache_latency_ms =
+      ctx.deployment->network().model().params().cache_base_ms;
+  return p;
+}
 
 const api::StrategyRegistration kAgar{{
     "agar",
@@ -27,16 +41,11 @@ const api::StrategyRegistration kAgar{{
          "(monitor.<param> passes estimator-specific knobs)"},
     }},
     [](const api::StrategyContext& ctx, const api::ParamMap& params) {
-      core::AgarNodeParams p;
-      p.region = ctx.client->region;
-      p.cache_capacity_bytes = params.get_size("cache_bytes", 10_MB);
-      p.reconfig_period_ms = ctx.experiment->reconfig_period_ms;
+      core::AgarNodeParams p = node_params(ctx, params);
       p.probes_per_region =
           params.get_size("probes_per_region", p.probes_per_region);
       p.cache_manager.candidate_weights =
           ctx.experiment->agar_candidate_weights;
-      p.cache_manager.cache_latency_ms =
-          ctx.deployment->network().model().params().cache_base_ms;
       p.cache_manager.planner = params.get_string("planner", "knapsack-dp");
       p.cache_manager.planner_params = params.scoped("planner.");
       p.monitor.estimator = params.get_string("monitor", "exact-ewma");
@@ -52,6 +61,40 @@ const api::StrategyRegistration kAgar{{
       if (planner != "knapsack-dp") tags += planner;
       if (monitor != "exact-ewma") tags += (tags.empty() ? "" : ",") + monitor;
       return tags.empty() ? std::string("Agar") : "Agar[" + tags + "]";
+    }}};
+
+// The paper's LFU-c baseline (§V-A): a cache holding "a predefined number
+// of erasure-coded chunks" per object, behind "an additional proxy
+// component that tracks request frequency", reconfigured on Agar's period.
+// That is Agar without the knapsack — the same node with the single
+// candidate weight c and the popularity-rank planner — so the two systems
+// differ only in their configuration policy. (The eviction-driven LFU
+// engine is the separate "lfu-eviction" system.)
+const api::StrategyRegistration kLfu{{
+    "lfu",
+    "LFU",
+    "the paper's LFU baseline: frequency proxy + periodic static "
+    "configuration of c chunks per object",
+    api::ParamSchema{{
+        {"chunks", api::ParamType::kSize, "9", "chunks cached per object"},
+        {"cache_bytes", api::ParamType::kSize, "10MB", "cache capacity"},
+        {"ewma_alpha", api::ParamType::kDouble, "0.8",
+         "request-frequency EWMA smoothing"},
+        {"proxy_ms", api::ParamType::kDouble, "0.5",
+         "frequency-tracking proxy cost on the read path"},
+    }},
+    [](const api::StrategyContext& ctx, const api::ParamMap& params) {
+      core::AgarNodeParams p = node_params(ctx, params);
+      // c = 0 is no option weight: the node's option generator throws here.
+      p.cache_manager.candidate_weights = {std::min(
+          params.get_size("chunks", 9), ctx.client->backend->codec().k())};
+      p.cache_manager.planner = "popularity-rank";
+      p.monitor.ewma_alpha = params.get_double("ewma_alpha", 0.8);
+      p.monitor.processing_ms = params.get_double("proxy_ms", 0.5);
+      return std::make_unique<AgarStrategy>(*ctx.client, p);
+    },
+    [](const api::ParamMap& params) {
+      return "LFU-" + std::to_string(params.get_size("chunks", 9));
     }}};
 
 }  // namespace
@@ -108,7 +151,9 @@ void AgarStrategy::set_collab_hooks(const core::CollabPlannerHooks& hooks) {
 }
 
 void AgarStrategy::start_read(const ObjectKey& key, ReadCallback done) {
-  start_plan(key, node_->plan_read(key), node_->cache(), std::move(done));
+  core::ReadPlan plan = node_->plan_read(key);
+  start_plan(key, chunks_by_expected_latency(ctx_, key), std::move(plan),
+             &node_->cache(), std::move(done));
 }
 
 }  // namespace agar::client

@@ -1,8 +1,9 @@
-// Agar strategy (paper §V-A "Agar"): reads go through an AgarNode — the
-// request monitor supplies hints, resident configured chunks come from the
-// Agar cache, the rest from the backend; after the read the client
-// populates the cache with the chunks the current configuration wants
-// (asynchronously, off the latency path).
+// Agar strategy (paper §V-A "Agar", and the "lfu" system's LFU-c, which is
+// the same node with one option weight and the popularity-rank planner):
+// reads go through an AgarNode — the request monitor supplies hints,
+// resident configured chunks come from the Agar cache, the rest from the
+// backend; after the read the client populates the cache with the chunks
+// the current configuration wants (asynchronously, off the latency path).
 //
 // On the event loop the whole control plane is background events: latency
 // probes are asynchronous fetches, each reconfiguration waits for its probe
@@ -22,7 +23,6 @@ class AgarStrategy final : public ReadStrategy {
   AgarStrategy(ClientContext ctx, core::AgarNodeParams node_params);
 
   void start_read(const ObjectKey& key, ReadCallback done) override;
-  [[nodiscard]] std::string name() const override { return "Agar"; }
 
   void warm_up() override;
   void attach_to_loop(sim::EventLoop& loop) override;

@@ -49,37 +49,12 @@ std::vector<std::pair<ChunkIndex, RegionId>> chunks_by_expected_latency(
 }
 
 void BackendStrategy::start_read(const ObjectKey& key, ReadCallback done) {
-  const store::ObjectInfo info = ctx_.backend->object_info(key);
   const std::size_t k = ctx_.backend->codec().k();
-
   const auto candidates = chunks_by_expected_latency(ctx_, key);
-  BatchSpec spec;
-  spec.on_path.assign(candidates.begin(),
-                      candidates.begin() + static_cast<std::ptrdiff_t>(k));
-  spec.fallbacks.assign(candidates.begin() + static_cast<std::ptrdiff_t>(k),
-                        candidates.end());
-  spec.want_total = k;
-  spec.chunk_bytes = info.chunk_size;
-  spec.extra_ms = decode_ms(info.object_size);
-
-  start_fetch_batch(
-      key, std::move(spec), ReadResult{},
-      [this, key, done = std::move(done)](ReadResult result,
-                                          std::vector<ChunkIndex> fetched) {
-        result.backend_chunks = fetched.size();
-        if (ctx_.verify_data && !result.failed) {
-          std::vector<ec::Chunk> chunks;
-          chunks.reserve(fetched.size());
-          for (const ChunkIndex idx : fetched) {
-            const auto bytes = ctx_.backend->get_chunk(ChunkId{key, idx});
-            if (bytes.has_value()) {
-              chunks.push_back(ec::Chunk{idx, *bytes});  // shared, no copy
-            }
-          }
-          result.verified = verify_payload(key, chunks);
-        }
-        done(result);
-      });
+  core::ReadPlan plan;
+  plan.from_backend.assign(candidates.begin(),
+                           candidates.begin() + static_cast<std::ptrdiff_t>(k));
+  start_plan(key, candidates, std::move(plan), nullptr, std::move(done));
 }
 
 }  // namespace agar::client

@@ -10,9 +10,8 @@ namespace agar::client {
 
 namespace {
 
-/// THE fixed-chunks label derivation: engine display stem + "-" + c. Used
-/// by both the registry label fns and FixedChunksStrategy::name() so the
-/// two can never drift apart.
+/// THE fixed-chunks label derivation: engine display stem + "-" + c, shared
+/// by the fixed-chunks and lfu-eviction registry label fns.
 std::string fixed_chunks_label(const std::string& engine_name,
                                std::size_t chunks) {
   const auto& engines = api::EngineRegistry::instance();
@@ -37,86 +36,25 @@ FixedChunksStrategy::FixedChunksStrategy(
   }
 }
 
-std::string FixedChunksStrategy::name() const {
-  return fixed_chunks_label(params_.engine, params_.chunks_per_object);
-}
-
 void FixedChunksStrategy::start_read(const ObjectKey& key, ReadCallback done) {
-  const store::ObjectInfo info = ctx_.backend->object_info(key);
   const std::size_t k = ctx_.backend->codec().k();
   const std::size_t c = std::min(params_.chunks_per_object, k);
 
   // Candidates cheapest-first; the k cheapest are the needed set, of which
-  // the c most distant (the tail) are the designated cache-resident chunks.
+  // the c most distant (the tail) are the designated cache-resident chunks:
+  // served from the cache when resident, (re-)inserted after the read.
   const auto candidates = chunks_by_expected_latency(ctx_, key);
-  std::vector<std::pair<ChunkIndex, RegionId>> needed(
-      candidates.begin(), candidates.begin() + static_cast<std::ptrdiff_t>(k));
-  // designated = last c of `needed` (most distant of the needed chunks).
-  const std::size_t designated_begin = k - c;
-
-  ReadResult partial;
-  std::vector<SimTimeMs> cache_latencies;
-  auto collected = std::make_shared<std::vector<ec::Chunk>>();  // verify mode
-  auto designated = std::make_shared<std::vector<ChunkIndex>>();
-
-  BatchSpec spec;
-  spec.fallbacks.assign(candidates.begin() + static_cast<std::ptrdiff_t>(k),
-                        candidates.end());
-  for (std::size_t i = 0; i < needed.size(); ++i) {
-    const auto& [idx, region] = needed[i];
-    if (i >= designated_begin) {
-      designated->push_back(idx);
-      const std::string ck = ChunkId{key, idx}.cache_key();
-      const auto hit = cache_->get(ck);
-      if (hit.has_value()) {
-        cache_latencies.push_back(ctx_.network->cache_fetch(info.chunk_size));
-        ++partial.cache_chunks;
-        if (ctx_.verify_data) {
-          collected->push_back(ec::Chunk{idx, *hit});  // shared, no copy
-        }
-        continue;
-      }
+  core::ReadPlan plan;
+  for (std::size_t i = 0; i < k; ++i) {
+    if (i < k - c) {
+      plan.from_backend.push_back(candidates[i]);
+    } else {
+      plan.from_cache.push_back(candidates[i].first);
     }
-    spec.on_path.emplace_back(idx, region);
   }
-
-  spec.want_total = k - partial.cache_chunks;
-  spec.chunk_bytes = info.chunk_size;
-  spec.cache_arm_ms = cache_latencies.empty()
-                          ? -1.0
-                          : sim::Network::parallel_batch_ms(cache_latencies);
-  spec.extra_ms = decode_ms(info.object_size) + params_.proxy_overhead_ms;
-
-  start_fetch_batch(
-      key, std::move(spec), partial,
-      [this, key, k, info, collected, designated,
-       done = std::move(done)](ReadResult result,
-                               std::vector<ChunkIndex> fetched) {
-        result.backend_chunks = fetched.size();
-        result.full_hit = result.cache_chunks == k;
-        result.partial_hit = result.cache_chunks > 0;
-
-        // Populate: (re-)insert the designated chunks. Writes happen on a
-        // separate thread pool in the paper's client — no latency charged.
-        for (const ChunkIndex idx : *designated) {
-          const std::string ck = ChunkId{key, idx}.cache_key();
-          if (cache_->contains(ck)) continue;  // hit earlier; recency kept
-          SharedBytes payload = population_payload(key, idx, info.chunk_size);
-          if (ctx_.verify_data && payload.empty()) continue;
-          cache_->put(ck, std::move(payload));
-        }
-
-        if (ctx_.verify_data && !result.failed) {
-          for (const ChunkIndex idx : fetched) {
-            const auto bytes = ctx_.backend->get_chunk(ChunkId{key, idx});
-            if (bytes.has_value()) {
-              collected->push_back(ec::Chunk{idx, *bytes});
-            }
-          }
-          result.verified = verify_payload(key, *collected);
-        }
-        done(result);
-      });
+  plan.populate_after_read = plan.from_cache;
+  plan.monitor_overhead_ms = params_.proxy_overhead_ms;
+  start_plan(key, candidates, std::move(plan), cache_.get(), std::move(done));
 }
 
 // ----------------------------------------------------------- registration
@@ -171,7 +109,8 @@ const api::StrategyRegistration kFixedChunks{{
 
 // The baseline-strength ablation's eviction-driven LFU: the plain LFU
 // *engine* under fixed-chunks semantics. ("lfu" the *system* is the
-// paper's periodic frequency-proxy baseline in LfuConfigStrategy.)
+// paper's periodic frequency-proxy baseline, registered with Agar's in
+// agar_strategy.cpp.)
 const api::StrategyRegistration kLfuEviction{{
     "lfu-eviction",
     "LFUev",

@@ -37,7 +37,6 @@ class FixedChunksStrategy final : public ReadStrategy {
                       std::unique_ptr<cache::CacheEngine> engine);
 
   void start_read(const ObjectKey& key, ReadCallback done) override;
-  [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] cache::CacheEngine& engine() { return *cache_; }
   [[nodiscard]] const cache::CacheEngine* cache_engine() const override {

@@ -7,15 +7,28 @@
 
 namespace agar::client {
 
+namespace {
+
+/// Printed width of a UTF-8 cell: its code points, not its bytes (a "±"
+/// is two bytes but one column).
+std::size_t display_width(const std::string& cell) {
+  return static_cast<std::size_t>(
+      std::count_if(cell.begin(), cell.end(), [](char c) {
+        return (static_cast<unsigned char>(c) & 0xC0) != 0x80;
+      }));
+}
+
+}  // namespace
+
 std::string format_table(const std::vector<std::string>& headers,
                          const std::vector<std::vector<std::string>>& rows) {
   std::vector<std::size_t> widths(headers.size());
   for (std::size_t i = 0; i < headers.size(); ++i) {
-    widths[i] = headers[i].size();
+    widths[i] = display_width(headers[i]);
   }
   for (const auto& row : rows) {
     for (std::size_t i = 0; i < row.size() && i < widths.size(); ++i) {
-      widths[i] = std::max(widths[i], row[i].size());
+      widths[i] = std::max(widths[i], display_width(row[i]));
     }
   }
 
@@ -23,7 +36,8 @@ std::string format_table(const std::vector<std::string>& headers,
   auto emit_row = [&](const std::vector<std::string>& cells) {
     for (std::size_t i = 0; i < widths.size(); ++i) {
       const std::string& cell = i < cells.size() ? cells[i] : "";
-      out << "| " << cell << std::string(widths[i] - cell.size() + 1, ' ');
+      out << "| " << cell
+          << std::string(widths[i] - display_width(cell) + 1, ' ');
     }
     out << "|\n";
   };

@@ -68,48 +68,89 @@ ReadResult ReadStrategy::read(const ObjectKey& key) {
   return out;
 }
 
-// ------------------------------------------------------------ fetch batch
+// ---------------------------------------------------------- planned reads
 
+/// One read in flight: its plan, the backend arms issued so far and the
+/// result being assembled.
 struct ReadStrategy::BatchState {
   ObjectKey key;
-  std::size_t chunk_bytes = 0;
+  store::ObjectInfo info;
+  core::ReadPlan plan;
+  cache::CacheEngine* cache = nullptr;
   std::size_t want = 0;      // backend arms we aim to keep in flight
   std::size_t accepted = 0;  // backend arms issued so far
   std::size_t pending = 0;   // arms (backend + cache) not yet landed
   bool issued_all = false;   // initial issue pass finished
-  std::vector<std::pair<ChunkIndex, RegionId>> on_path;
+  Candidates on_path;
   std::size_t next_on_path = 0;
-  std::vector<std::pair<ChunkIndex, RegionId>> fallbacks;
+  Candidates fallbacks;
   std::size_t next_fallback = 0;
   std::size_t failed_arms = 0;  // arms whose fetch came back nullopt
   std::size_t down_skips = 0;   // arms refused synchronously (region down)
   std::vector<ChunkIndex> fetched;
+  std::vector<ec::Chunk> collected;  // verify mode: the cache hits
   ReadResult result;
   SimTimeMs start = 0.0;
-  SimTimeMs extra = 0.0;
-  BatchCallback done;
+  SimTimeMs extra = 0.0;  // decode + monitor, after the last arrival
+  ReadCallback done;
 };
 
-void ReadStrategy::start_fetch_batch(const ObjectKey& key, BatchSpec spec,
-                                     ReadResult partial, BatchCallback done) {
+void ReadStrategy::start_plan(const ObjectKey& key,
+                              const Candidates& candidates,
+                              core::ReadPlan plan, cache::CacheEngine* cache,
+                              ReadCallback done) {
   sim::EventLoop* const loop = ctx_.loop;
   if (loop == nullptr) {
     throw std::logic_error("ReadStrategy: start_read requires a loop");
   }
   auto st = std::make_shared<BatchState>();
   st->key = key;
-  st->chunk_bytes = spec.chunk_bytes;
-  st->want = spec.want_total;
-  st->on_path = std::move(spec.on_path);
-  st->fallbacks = std::move(spec.fallbacks);
-  st->result = std::move(partial);
+  st->info = ctx_.backend->object_info(key);
+  st->cache = cache;
   st->start = loop->now();
-  st->extra = spec.extra_ms;
   st->done = std::move(done);
 
-  if (spec.cache_arm_ms >= 0.0) {
+  // Cache-resident chunks, fetched in parallel with the backend arms; a
+  // chunk the cache no longer holds is fetched from its home region.
+  st->on_path = plan.from_backend;
+  std::vector<SimTimeMs> cache_latencies;
+  for (const ChunkIndex idx : plan.from_cache) {
+    const auto hit = cache != nullptr
+                         ? cache->get(ChunkId{key, idx}.cache_key())
+                         : std::nullopt;
+    if (!hit.has_value()) {
+      st->on_path.push_back(*std::find_if(
+          candidates.begin(), candidates.end(),
+          [idx](const auto& cand) { return cand.first == idx; }));
+      continue;
+    }
+    cache_latencies.push_back(ctx_.network->cache_fetch(st->info.chunk_size));
+    ++st->result.cache_chunks;
+    if (ctx_.verify_data) {
+      st->collected.push_back(ec::Chunk{idx, *hit});  // shared, no copy
+    }
+  }
+
+  // Every unplanned chunk (cheapest-first) is a fallback in case a region
+  // is down.
+  for (const auto& cand : candidates) {
+    const bool planned =
+        std::any_of(plan.from_backend.begin(), plan.from_backend.end(),
+                    [&](const auto& p) { return p.first == cand.first; }) ||
+        std::any_of(plan.from_cache.begin(), plan.from_cache.end(),
+                    [&](ChunkIndex i) { return i == cand.first; });
+    if (!planned) st->fallbacks.push_back(cand);
+  }
+  st->want = ctx_.backend->codec().k() - st->result.cache_chunks;
+  st->extra = ctx_.decode_ms_per_mb *
+                  static_cast<double>(st->info.object_size) /
+                  static_cast<double>(1_MB) +
+              plan.monitor_overhead_ms;
+  st->plan = std::move(plan);
+
+  if (!cache_latencies.empty()) {
     ++st->pending;
-    loop->schedule_in(spec.cache_arm_ms,
+    loop->schedule_in(sim::Network::parallel_batch_ms(cache_latencies),
                       [this, st] { batch_arm_done(st); });
   }
   batch_issue(st);
@@ -126,7 +167,7 @@ void ReadStrategy::batch_issue(const std::shared_ptr<BatchState>& st) {
   auto try_issue = [&](const std::pair<ChunkIndex, RegionId>& target) {
     const auto [index, region] = target;
     const core::FetchStart started = fetcher_.fetch(
-        ChunkId{st->key, index}, ctx_.region, region, st->chunk_bytes,
+        ChunkId{st->key, index}, ctx_.region, region, st->info.chunk_size,
         [this, st, index](std::optional<SimTimeMs> latency) {
           if (latency.has_value()) {
             st->fetched.push_back(index);
@@ -172,95 +213,46 @@ void ReadStrategy::batch_arm_done(const std::shared_ptr<BatchState>& st) {
   // read: it succeeded off its fallback path (and paid for it in latency).
   st->result.degraded =
       !st->result.failed && (st->failed_arms > 0 || st->down_skips > 0);
-  loop->schedule_in(st->result.failed ? 0.0 : st->extra, [loop, st] {
+  loop->schedule_in(st->result.failed ? 0.0 : st->extra, [this, loop, st] {
     st->result.latency_ms = loop->now() - st->start;
-    st->done(std::move(st->result), std::move(st->fetched));
+    finish_read(*st);
   });
 }
 
-// ---------------------------------------------------------- planned reads
+void ReadStrategy::finish_read(BatchState& st) {
+  ReadResult& result = st.result;
+  const ObjectKey& key = st.key;
+  result.backend_chunks = st.fetched.size();
+  result.full_hit = result.cache_chunks == ctx_.backend->codec().k();
+  result.partial_hit = result.cache_chunks > 0;
 
-double ReadStrategy::decode_ms(std::size_t object_bytes) const {
-  return ctx_.decode_ms_per_mb * static_cast<double>(object_bytes) /
-         static_cast<double>(1_MB);
-}
-
-void ReadStrategy::start_plan(const ObjectKey& key, const core::ReadPlan& plan,
-                              cache::StaticConfigCache& cache,
-                              ReadCallback done) {
-  const store::ObjectInfo info = ctx_.backend->object_info(key);
-  const std::size_t k = ctx_.backend->codec().k();
-
-  ReadResult partial;
-  std::vector<SimTimeMs> cache_latencies;
-  auto collected = std::make_shared<std::vector<ec::Chunk>>();  // verify mode
-
-  // Cache-resident chunks, fetched in parallel with the backend batch.
-  for (const ChunkIndex idx : plan.from_cache) {
+  // Populate the cache per plan (asynchronous in the prototype: a separate
+  // thread pool performs the writes, so no latency charged). A chunk that
+  // landed meanwhile (a population fetch, or a hit that kept its recency)
+  // is not written again.
+  for (const ChunkIndex idx : st.plan.populate_after_read) {
     const std::string ck = ChunkId{key, idx}.cache_key();
-    const auto hit = cache.get(ck);
-    if (!hit.has_value()) continue;  // raced with a reconfiguration
-    cache_latencies.push_back(ctx_.network->cache_fetch(info.chunk_size));
-    ++partial.cache_chunks;
-    if (ctx_.verify_data) {
-      collected->push_back(ec::Chunk{idx, *hit});  // shared, no copy
+    if (st.cache->contains(ck)) continue;
+    SharedBytes payload = population_payload(key, idx, st.info.chunk_size);
+    if (ctx_.verify_data && payload.empty()) continue;
+    st.cache->put(ck, std::move(payload));
+  }
+  for (const auto& [idx, region] : st.plan.async_populate) {
+    (void)region;
+    // Population fetch crosses the network as a background event (traffic
+    // counted; coalesces with any in-flight read of the same chunk); its
+    // latency is off the read path.
+    populate_chunk_async(key, idx, *st.cache);
+  }
+
+  if (ctx_.verify_data && !result.failed) {
+    for (const ChunkIndex idx : st.fetched) {
+      const auto bytes = ctx_.backend->get_chunk(ChunkId{key, idx});
+      if (bytes.has_value()) st.collected.push_back(ec::Chunk{idx, *bytes});
     }
+    result.verified = verify_payload(key, st.collected);
   }
-
-  // Backend chunks; every other chunk (cheapest-first) is a fallback in
-  // case a region is down or a cache entry vanished.
-  BatchSpec spec;
-  spec.on_path = plan.from_backend;
-  for (const auto& cand : chunks_by_expected_latency(ctx_, key)) {
-    const bool planned =
-        std::any_of(plan.from_backend.begin(), plan.from_backend.end(),
-                    [&](const auto& p) { return p.first == cand.first; }) ||
-        std::any_of(plan.from_cache.begin(), plan.from_cache.end(),
-                    [&](ChunkIndex i) { return i == cand.first; });
-    if (!planned) spec.fallbacks.push_back(cand);
-  }
-  spec.want_total = k - partial.cache_chunks;
-  spec.chunk_bytes = info.chunk_size;
-  spec.cache_arm_ms = cache_latencies.empty()
-                          ? -1.0
-                          : sim::Network::parallel_batch_ms(cache_latencies);
-  spec.extra_ms = decode_ms(info.object_size) + plan.monitor_overhead_ms;
-
-  start_fetch_batch(
-      key, std::move(spec), partial,
-      [this, key, plan, &cache, collected, k, info,
-       done = std::move(done)](ReadResult result,
-                               std::vector<ChunkIndex> fetched) {
-        result.backend_chunks = fetched.size();
-        result.full_hit = result.cache_chunks == k;
-        result.partial_hit = result.cache_chunks > 0;
-
-        // Populate the cache per plan (asynchronous in the prototype: a
-        // separate thread pool performs the writes, so no latency charged).
-        for (const ChunkIndex idx : plan.populate_after_read) {
-          SharedBytes payload = population_payload(key, idx, info.chunk_size);
-          if (ctx_.verify_data && payload.empty()) continue;
-          cache.put(ChunkId{key, idx}.cache_key(), std::move(payload));
-        }
-        for (const auto& [idx, region] : plan.async_populate) {
-          (void)region;
-          // Population fetch crosses the network as a background event
-          // (traffic counted; coalesces with any in-flight read of the
-          // same chunk); its latency is off the read path.
-          populate_chunk_async(key, idx, cache);
-        }
-
-        if (ctx_.verify_data && !result.failed) {
-          for (const ChunkIndex idx : fetched) {
-            const auto bytes = ctx_.backend->get_chunk(ChunkId{key, idx});
-            if (bytes.has_value()) {
-              collected->push_back(ec::Chunk{idx, *bytes});
-            }
-          }
-          result.verified = verify_payload(key, *collected);
-        }
-        done(result);
-      });
+  st.done(result);
 }
 
 // ------------------------------------------------------------- population

@@ -1,14 +1,16 @@
-// Read strategies — the four client variants of the paper's evaluation
-// (§V-A): Backend (no cache), LRU-c, LFU-c (fixed chunks per object with a
-// classic eviction policy), and Agar.
+// Read strategies — the client variants of the paper's evaluation (§V-A):
+// Backend (no cache), LRU-c and friends (fixed chunks per object under a
+// classic eviction policy), and the two periodic systems on an AgarNode,
+// LFU-c (popularity-ranked fixed c) and Agar (knapsack).
 //
-// A strategy turns `start_read(key, done)` into events on the simulation
-// loop: chunk fetches begin on the network (which enforces per-region
-// concurrency limits), duplicate fetches coalesce in the strategy's
-// in-flight table, and `done` fires at the virtual time the read completes
-// — so concurrent clients genuinely overlap on the timeline. Every strategy
-// runs on an attached loop; `read(key)` is a thin wrapper that steps that
-// loop until one read completes (the daemon and tests use it).
+// A strategy turns `start_read(key, done)` into a core::ReadPlan and hands
+// it to `start_plan`, the one read path every system shares: chunk fetches
+// begin on the network (which enforces per-region concurrency limits),
+// duplicate fetches coalesce in the strategy's in-flight table, and `done`
+// fires at the virtual time the read completes — so concurrent clients
+// genuinely overlap on the timeline. Every strategy runs on an attached
+// loop; `read(key)` is a thin wrapper that steps that loop until one read
+// completes (the daemon and tests use it).
 #pragma once
 
 #include <map>
@@ -16,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/static_cache.hpp"
+#include "cache/cache.hpp"
 #include "client/fetch_policy.hpp"
 #include "common/types.hpp"
 #include "core/cache_manager.hpp"
@@ -97,8 +99,6 @@ class ReadStrategy {
   /// fetches) interleave as they would in a real run. Throws
   /// std::logic_error when no loop is attached.
   [[nodiscard]] ReadResult read(const ObjectKey& key);
-
-  [[nodiscard]] virtual std::string name() const = 0;
 
   /// Hook for periodic work (Agar reconfigurations) on the sim loop. The
   /// base records the loop in the context so reads become events on it.
@@ -181,37 +181,21 @@ class ReadStrategy {
   }
 
  protected:
-  /// One parallel fetch batch: the backend arms (`on_path`, substituting
-  /// `fallbacks` for down regions until `want_total` are in flight) plus an
-  /// optional cache arm, completing when every arm has landed and charging
-  /// `extra_ms` (decode + monitor) after the last arrival.
-  struct BatchSpec {
-    std::vector<std::pair<ChunkIndex, RegionId>> on_path;
-    std::vector<std::pair<ChunkIndex, RegionId>> fallbacks;
-    std::size_t want_total = 0;
-    std::size_t chunk_bytes = 0;
-    SimTimeMs cache_arm_ms = -1.0;  ///< < 0 means no cache arm
-    SimTimeMs extra_ms = 0.0;       ///< decode + monitor, after the batch
-  };
-  using BatchCallback =
-      std::function<void(ReadResult, std::vector<ChunkIndex>)>;
+  /// A read's chunk candidates, (index, home region) cheapest-first by
+  /// expected fetch latency (chunks_by_expected_latency).
+  using Candidates = std::vector<std::pair<ChunkIndex, RegionId>>;
 
-  /// Issue the batch on the loop. `partial` carries the cache-hit counters
-  /// already accounted; the callback receives it completed (latency set,
-  /// fetched chunk indices attached).
-  void start_fetch_batch(const ObjectKey& key, BatchSpec spec,
-                         ReadResult partial, BatchCallback done);
-
-  /// Execute a planned read against a configured cache asynchronously:
-  /// cache arms and the backend batch in parallel, monitor/proxy overhead
-  /// charged after, population per plan off-path. Shared by the Agar
-  /// strategy and the paper's periodic-LFU baseline so the two differ only
-  /// in their configuration policy.
-  void start_plan(const ObjectKey& key, const core::ReadPlan& plan,
-                  cache::StaticConfigCache& cache, ReadCallback done);
-
-  /// Decode-cost model.
-  [[nodiscard]] double decode_ms(std::size_t object_bytes) const;
+  /// Execute a planned read asynchronously — the one read path of every
+  /// system. Each `from_cache` chunk is looked up in `cache` (null: no
+  /// cache); a miss becomes a backend arm from the chunk's home region. The
+  /// backend arms run in parallel with the cache arm, the candidates the
+  /// plan does not use are fallbacks for failed arms, and decode plus the
+  /// plan's monitor/proxy overhead are charged after the last arrival. Off
+  /// the latency path, each `populate_after_read` chunk not already
+  /// resident is written back and each `async_populate` chunk downloaded.
+  void start_plan(const ObjectKey& key, const Candidates& candidates,
+                  core::ReadPlan plan, cache::CacheEngine* cache,
+                  ReadCallback done);
 
   /// Population download as a background event (paper §IV-A: "caching items
   /// implies downloading them a priori"): fetch one chunk from its backend
@@ -220,25 +204,27 @@ class ReadStrategy {
   void populate_chunk_async(const ObjectKey& key, ChunkIndex index,
                             cache::CacheEngine& cache);
 
+  ClientContext ctx_;
+  core::FetchCoordinator fetcher_;
+  /// Fired after each completed reconfiguration (collab config log).
+  std::function<void()> on_reconfigure_;
+
+ private:
   /// Payload to install for a populated chunk (in verify mode, a shared
   /// handle to the backend's buffer — no copy).
   [[nodiscard]] SharedBytes population_payload(const ObjectKey& key,
                                                ChunkIndex index,
                                                std::size_t chunk_size) const;
 
-  /// Verify-mode check of one read's assembled chunks (subclasses gather
-  /// them from the backend and caches). Reconstructs the k data chunks —
-  /// present ones as views, erased rows into decode_scratch_ — and compares
-  /// each byte for byte against the object's write-time data chunks
+  /// Verify-mode check of one read's assembled chunks (from the backend
+  /// and the cache). Reconstructs the k data chunks — present ones as
+  /// views, erased rows into decode_scratch_ — and compares each byte for
+  /// byte against the object's write-time data chunks
   /// (BackendCluster::written), skipping only a view that is the reference
   /// allocation itself. Allocates nothing per read once warm.
   [[nodiscard]] bool verify_payload(const ObjectKey& key,
                                     const std::vector<ec::Chunk>& chunks);
 
-  ClientContext ctx_;
-  core::FetchCoordinator fetcher_;
-  /// Fired after each completed reconfiguration (collab config log).
-  std::function<void()> on_reconfigure_;
   /// Memoized zero buffer for latency-only cache populations: every
   /// populated chunk of one size shares it (refcount bump per put).
   mutable SharedBytes zero_payload_;
@@ -246,12 +232,17 @@ class ReadStrategy {
   /// runs its own strategy, so no two threads ever share it.
   ec::DecodeScratch decode_scratch_;
 
- private:
+  /// One read in flight: its backend arms (on-path, then fallbacks for
+  /// failed ones, until k minus the cache hits are in flight) plus an
+  /// optional cache arm, completing when every arm has landed.
   struct BatchState;
-  /// Issue on-path/fallback fetches until `want_total` arms are in flight.
+  /// Issue on-path/fallback fetches until `want` arms are in flight.
   void batch_issue(const std::shared_ptr<BatchState>& st);
   /// One arm landed (ok) or died (down while queued → try a fallback).
   void batch_arm_done(const std::shared_ptr<BatchState>& st);
+  /// The read's decode and overhead have elapsed: account it, write back
+  /// and download per plan, verify, and fire `done`.
+  void finish_read(BatchState& st);
 };
 
 }  // namespace agar::client

@@ -26,6 +26,23 @@ std::map<std::size_t, std::size_t> CacheConfiguration::weight_histogram()
   return hist;
 }
 
+namespace {
+
+OptionGeneratorParams generator_params(const store::BackendCluster* backend,
+                                       const CacheManagerParams& params) {
+  if (backend == nullptr) {
+    throw std::invalid_argument("CacheManager: null dependency");
+  }
+  OptionGeneratorParams out;
+  out.k = backend->codec().k();
+  out.m = backend->codec().m();
+  out.cache_latency_ms = params.cache_latency_ms;
+  out.candidate_weights = params.candidate_weights;
+  return out;
+}
+
+}  // namespace
+
 CacheManager::CacheManager(const store::BackendCluster* backend,
                            RegionManager* region_manager,
                            RequestMonitor* request_monitor,
@@ -35,9 +52,10 @@ CacheManager::CacheManager(const store::BackendCluster* backend,
       region_manager_(region_manager),
       request_monitor_(request_monitor),
       cache_(cache),
-      params_(std::move(params)) {
-  if (backend_ == nullptr || region_manager_ == nullptr ||
-      request_monitor_ == nullptr || cache_ == nullptr) {
+      params_(std::move(params)),
+      generator_(generator_params(backend, params_)) {
+  if (region_manager_ == nullptr || request_monitor_ == nullptr ||
+      cache_ == nullptr) {
     throw std::invalid_argument("CacheManager: null dependency");
   }
   planner_ = api::PlannerRegistry::instance().create(
@@ -59,13 +77,6 @@ std::size_t CacheManager::weight_quantum_bytes() const {
 
 std::vector<std::vector<CachingOption>> CacheManager::generate_options()
     const {
-  OptionGeneratorParams gen_params;
-  gen_params.k = backend_->codec().k();
-  gen_params.m = backend_->codec().m();
-  gen_params.cache_latency_ms = params_.cache_latency_ms;
-  gen_params.candidate_weights = params_.candidate_weights;
-  const OptionGenerator generator(gen_params);
-
   const std::size_t quantum = weight_quantum_bytes();
 
   // The snapshot is sorted by key (the estimator contract), so the option
@@ -87,7 +98,7 @@ std::vector<std::vector<CachingOption>> CacheManager::generate_options()
     if (collab_hooks_.adjust_chunk_costs) {
       costs = collab_hooks_.adjust_chunk_costs(std::move(costs), key);
     }
-    auto options = generator.generate(key, costs, popularity);
+    auto options = generator_.generate(key, costs, popularity);
     const std::size_t chunk_bytes = backend_->object_info(key).chunk_size;
     for (auto& opt : options) {
       const double bytes =

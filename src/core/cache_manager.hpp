@@ -114,6 +114,8 @@ class CacheManager {
   RequestMonitor* request_monitor_;       // non-owning
   cache::StaticConfigCache* cache_;       // non-owning
   CacheManagerParams params_;
+  /// Built once at construction, so bad candidate weights throw there.
+  OptionGenerator generator_;
   CollabPlannerHooks collab_hooks_;
   std::unique_ptr<Planner> planner_;
   CacheConfiguration config_;

@@ -29,6 +29,10 @@ struct CachingOption {
   /// popularity x estimated latency improvement (paper's value function).
   double value = 0.0;
 
+  /// The request monitor's popularity estimate for `key` (the value's
+  /// first factor); the popularity-rank planner orders keys by it.
+  double popularity = 0.0;
+
   /// Expected read latency (ms) if this option is installed; kept for
   /// reports and the Fig. 10 cache-contents analysis.
   double expected_latency_ms = 0.0;

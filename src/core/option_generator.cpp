@@ -72,6 +72,7 @@ std::vector<CachingOption> OptionGenerator::generate(
     opt.expected_latency_ms = after_ms;
     const double improvement = std::max(0.0, uncached_ms - after_ms);
     opt.value = popularity * improvement;
+    opt.popularity = popularity;
     out.push_back(std::move(opt));
   }
   return out;

@@ -229,6 +229,41 @@ class IncrementalPlanner final : public Planner {
   std::unordered_map<ObjectKey, KeyMemo> memo_;
 };
 
+/// The paper's LFU-c baseline as a planner (§V-A): rank keys by request
+/// popularity, most popular first (ties by key), and admit each key's
+/// heaviest option while it fits. Values are ignored — a fixed-c
+/// configuration caches its c chunks whatever they save — and the ranking
+/// is strict: the first key that does not fit ends the plan.
+class PopularityRankPlanner final : public Planner {
+ public:
+  KnapsackResult plan(const std::vector<std::vector<CachingOption>>& groups,
+                      std::size_t capacity_units) override {
+    std::vector<const CachingOption*> ranked;
+    ranked.reserve(groups.size());
+    for (const auto& group : groups) {
+      const auto heaviest = std::max_element(
+          group.begin(), group.end(), [](const auto& a, const auto& b) {
+            return a.weight_units < b.weight_units;
+          });
+      if (heaviest != group.end()) ranked.push_back(&*heaviest);
+    }
+    std::sort(ranked.begin(), ranked.end(), [](const auto* a, const auto* b) {
+      if (a->popularity != b->popularity) return a->popularity > b->popularity;
+      return a->key < b->key;
+    });
+    KnapsackResult out;
+    for (const CachingOption* o : ranked) {
+      if (out.total_weight_units + o->weight_units > capacity_units) break;
+      out.chosen.push_back(*o);
+      out.total_weight_units += o->weight_units;
+      out.total_value += o->value;
+    }
+    return out;
+  }
+
+  [[nodiscard]] std::string name() const override { return "popularity-rank"; }
+};
+
 const api::PlannerRegistration kDp{{
     "knapsack-dp",
     "DP",
@@ -279,6 +314,18 @@ const api::PlannerRegistration kIncremental{{
       return std::make_unique<IncrementalPlanner>(
           params.get_double("threshold", 0.1),
           params.get_size("full_every", 0));
+    },
+    {}}};
+
+const api::PlannerRegistration kPopularityRank{{
+    "popularity-rank",
+    "popularity-rank",
+    "the LFU-c baseline's configuration: admit each key's heaviest option "
+    "in decreasing popularity until the first key that does not fit "
+    "(ignores option values)",
+    api::ParamSchema{{kScopeParam}},
+    [](const api::PlannerContext&, const api::ParamMap&) {
+      return std::make_unique<PopularityRankPlanner>();
     },
     {}}};
 

@@ -11,7 +11,9 @@
 //   * brute-force  — exponential oracle, test-sized instances only;
 //   * incremental  — warm-starts from the previous configuration and
 //                    re-plans only keys whose inputs moved beyond a
-//                    threshold (cheap steady-state reconfigurations).
+//                    threshold (cheap steady-state reconfigurations);
+//   * popularity-rank — the LFU-c baseline: each key's heaviest option in
+//                    popularity order until one does not fit.
 //
 // One planner instance serves one CacheManager for the lifetime of the
 // node, so implementations may keep warm-start state across calls.
@@ -30,9 +32,10 @@ class Planner {
  public:
   virtual ~Planner() = default;
 
-  /// Solve one reconfiguration: choose at most one option per key, never a
-  /// non-positive-value option, within `capacity_units`. `options_per_key`
-  /// groups are sorted by key and each group belongs to a single key.
+  /// Solve one reconfiguration: choose at most one option per key within
+  /// `capacity_units`; value planners never choose a non-positive-value
+  /// option (popularity-rank ignores values). `options_per_key` groups are
+  /// sorted by key and each group belongs to a single key.
   [[nodiscard]] virtual KnapsackResult plan(
       const std::vector<std::vector<CachingOption>>& options_per_key,
       std::size_t capacity_units) = 0;

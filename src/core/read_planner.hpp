@@ -1,10 +1,13 @@
-// Shared read planning: resolve every chunk of one read to a source.
+// Read planning for a configured cache: resolve every chunk of one read to
+// a source.
 //
-// Used by AgarNode and by the paper's periodic-LFU baseline (which shares
-// Agar's machinery — request proxy, latency estimates, static configured
-// cache — but fixes the chunks-per-object count instead of running the
-// knapsack). Keeping the planner in one place guarantees the systems being
-// compared differ ONLY in their configuration policy.
+// Used by AgarNode, which serves both periodic systems: Agar (knapsack
+// planner) and the paper's LFU-c baseline (one option weight c, ranked by
+// popularity). Both share the request proxy, latency estimates, static
+// configured cache and this planner, so the systems being compared differ
+// ONLY in their configuration policy. The plan runs through
+// client::ReadStrategy::start_plan, as the backend and fixed-chunks
+// systems' plans do.
 #pragma once
 
 #include <functional>

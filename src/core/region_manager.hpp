@@ -47,10 +47,10 @@ class RegionManager {
   /// pass {} for fire-and-forget warm-up.
   void start_probe(std::function<void()> done);
 
-  /// The canonical event-driven control plane, shared by AgarNode and the
-  /// periodic-LFU baseline: a warm-up probe round at t=0 if nothing has
-  /// probed yet, then every `period` an asynchronous probe round followed
-  /// by `apply` (reconfigure + population) once the round's fetches land.
+  /// The canonical event-driven control plane of AgarNode (Agar and the
+  /// LFU-c baseline): a warm-up probe round at t=0 if nothing has probed
+  /// yet, then every `period` an asynchronous probe round followed by
+  /// `apply` (reconfigure + population) once the round's fetches land.
   void schedule_probe_pipeline(sim::EventLoop& loop, SimTimeMs period,
                                std::function<void()> apply);
 

@@ -10,7 +10,6 @@
 #include "client/agar_strategy.hpp"
 #include "client/backend_strategy.hpp"
 #include "client/fixed_chunks_strategy.hpp"
-#include "client/lfu_config_strategy.hpp"
 
 namespace agar {
 namespace {
@@ -69,11 +68,17 @@ client::StrategyFactory legacy_factory(const std::string& kind) {
           ctx, p, engine_of("lru", kCacheBytes));
     }
     if (kind == "lfu") {
-      client::LfuConfigParams p;
-      p.chunks_per_object = kChunks;
+      // The paper's LFU-c: Agar's node with the single candidate weight c,
+      // the popularity-rank planner and the default 0.5 ms proxy monitor.
+      core::AgarNodeParams p;
+      p.region = region;
       p.cache_capacity_bytes = kCacheBytes;
       p.reconfig_period_ms = config.reconfig_period_ms;
-      return std::make_unique<client::LfuConfigStrategy>(ctx, p);
+      p.cache_manager.candidate_weights = {kChunks};
+      p.cache_manager.cache_latency_ms =
+          deployment.network().model().params().cache_base_ms;
+      p.cache_manager.planner = "popularity-rank";
+      return std::make_unique<client::AgarStrategy>(ctx, p);
     }
     if (kind == "lfu-eviction") {
       client::FixedChunksParams p;

@@ -1,7 +1,8 @@
 // Planner registry: structural invariants every registered planner must
-// satisfy (capacity, one option per key, no zero-value picks), optimality
-// of knapsack-dp against the brute-force oracle, and the incremental
-// planner's warm-start behavior.
+// satisfy (capacity, one option per key, no zero-value picks for the value
+// planners), optimality of knapsack-dp against the brute-force oracle, the
+// incremental planner's warm-start behavior, and popularity-rank's strict
+// popularity order.
 #include "core/planner.hpp"
 
 #include <gtest/gtest.h>
@@ -24,6 +25,21 @@ CachingOption opt(const ObjectKey& key, std::size_t weight, double value) {
     o.chunks.push_back(static_cast<ChunkIndex>(i));
   }
   return o;
+}
+
+/// An option that carries its key's popularity (the popularity-rank input).
+CachingOption ranked(const ObjectKey& key, std::size_t weight, double value,
+                     double popularity) {
+  CachingOption o = opt(key, weight, value);
+  o.popularity = popularity;
+  return o;
+}
+
+/// popularity-rank admits options whatever their value (LFU-c caches its c
+/// chunks even where they save nothing); every other planner maximizes value
+/// and never spends capacity on a zero-value option.
+bool plans_by_value(const std::string& planner) {
+  return planner != "popularity-rank";
 }
 
 std::unique_ptr<Planner> make_planner(const std::string& name) {
@@ -69,7 +85,9 @@ TEST_P(PlannerInvariants, RespectsCapacityOneOptionPerKeyNoZeroValue) {
     for (const auto& o : r.chosen) {
       EXPECT_TRUE(keys.insert(o.key).second)
           << GetParam() << ": duplicate key " << o.key;
-      EXPECT_GT(o.value, 0.0) << GetParam() << ": zero-value option chosen";
+      if (plans_by_value(GetParam())) {
+        EXPECT_GT(o.value, 0.0) << GetParam() << ": zero-value option chosen";
+      }
       EXPECT_GT(o.weight_units, 0u) << GetParam();
       units += o.weight_units;
       value += o.value;
@@ -100,7 +118,9 @@ TEST_P(PlannerInvariants, WarmPlannerHoldsInvariantsAcrossRounds) {
     std::set<ObjectKey> keys;
     for (const auto& o : r.chosen) {
       EXPECT_TRUE(keys.insert(o.key).second) << GetParam();
-      EXPECT_GT(o.value, 0.0) << GetParam();
+      if (plans_by_value(GetParam())) {
+        EXPECT_GT(o.value, 0.0) << GetParam();
+      }
     }
   }
 }
@@ -307,6 +327,56 @@ TEST(GreedyPlanner, EqualDensityTieBreaksByKeyThenWeight) {
     EXPECT_EQ(r1.chosen[i].weight_units, r2.chosen[i].weight_units);
   }
   EXPECT_DOUBLE_EQ(r1.total_value, r2.total_value);
+}
+
+TEST(PopularityRankPlanner, RanksByPopularityNotValue) {
+  // "b" is worth far more per unit, but "a" is requested more often: the
+  // LFU-c baseline caches the frequent object, the knapsack the valuable.
+  const std::vector<std::vector<CachingOption>> groups = {
+      {ranked("a", 3, 1.0, 9.0)},
+      {ranked("b", 3, 100.0, 2.0)},
+  };
+  const auto r = make_planner("popularity-rank")->plan(groups, 3);
+  ASSERT_EQ(r.chosen.size(), 1u);
+  EXPECT_EQ(r.chosen[0].key, "a");
+  EXPECT_DOUBLE_EQ(r.total_value, 1.0);
+  EXPECT_EQ(solve_dp(groups, 3).chosen.at(0).key, "b");
+}
+
+TEST(PopularityRankPlanner, AdmitsZeroValueOptionsOfEvenWeight) {
+  // An even c whose chunks save nothing (value 0) is still cached, and of a
+  // key's options the heaviest is the one admitted.
+  const std::vector<std::vector<CachingOption>> groups = {
+      {ranked("a", 2, 5.0, 1.0), ranked("a", 4, 0.0, 1.0)},
+  };
+  const auto r = make_planner("popularity-rank")->plan(groups, 10);
+  ASSERT_EQ(r.chosen.size(), 1u);
+  EXPECT_EQ(r.chosen[0].weight_units, 4u);
+  EXPECT_DOUBLE_EQ(r.chosen[0].value, 0.0);
+  EXPECT_EQ(r.total_weight_units, 4u);
+}
+
+TEST(PopularityRankPlanner, StopsAtTheFirstKeyThatDoesNotFitTiesByKey) {
+  // "b" and "c" tie on popularity, so "b" ranks first; it does not fit the
+  // room "a" leaves, and the ranking is strict: "c" and "d" are not
+  // considered although either would fit.
+  const std::vector<std::vector<CachingOption>> groups = {
+      {ranked("a", 3, 1.0, 5.0)},
+      {ranked("b", 3, 1.0, 4.0)},
+      {ranked("c", 1, 1.0, 4.0)},
+      {ranked("d", 1, 1.0, 1.0)},
+  };
+  const auto r = make_planner("popularity-rank")->plan(groups, 5);
+  ASSERT_EQ(r.chosen.size(), 1u);
+  EXPECT_EQ(r.chosen[0].key, "a");
+  EXPECT_EQ(r.total_weight_units, 3u);
+
+  // Input order does not matter: the key breaks the tie the same way.
+  const std::vector<std::vector<CachingOption>> reordered = {
+      groups[2], groups[3], groups[1], groups[0]};
+  const auto again = make_planner("popularity-rank")->plan(reordered, 5);
+  ASSERT_EQ(again.chosen.size(), 1u);
+  EXPECT_EQ(again.chosen[0].key, "a");
 }
 
 }  // namespace

@@ -157,6 +157,16 @@ TEST(Registry, LabelsDeriveFromNameAndParams) {
   arc.set("engine", "arc");
   arc.set("chunks", "7");
   EXPECT_EQ(StrategyRegistry::instance().label("fixed-chunks", arc), "ARC-7");
+  // The registry label is the only label source: LRU-c, LFUev-c, LFU-c.
+  ParamMap chunks7;
+  chunks7.set("chunks", "7");
+  EXPECT_EQ(StrategyRegistry::instance().label("fixed-chunks", chunks7),
+            "LRU-7");
+  ParamMap chunks3;
+  chunks3.set("chunks", "3");
+  EXPECT_EQ(StrategyRegistry::instance().label("lfu-eviction", chunks3),
+            "LFUev-3");
+  EXPECT_EQ(StrategyRegistry::instance().label("lfu", chunks3), "LFU-3");
 }
 
 // -------------------------------------------- engine fallback resolution

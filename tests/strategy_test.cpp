@@ -9,9 +9,8 @@
 #include "client/agar_strategy.hpp"
 #include "client/backend_strategy.hpp"
 #include "client/fixed_chunks_strategy.hpp"
-#include "client/lfu_config_strategy.hpp"
 
-#include "api/registry.hpp"
+#include "api/api.hpp"
 
 namespace agar::client {
 namespace {
@@ -69,6 +68,26 @@ class StrategyTest : public ::testing::Test {
     s.attach_to_loop(loop_);
   }
 
+  /// The registry-built `lfu` system for Frankfurt, on a deployment shaped
+  /// like the fixture's (five 9000-byte objects, the same zero-jitter
+  /// network), warmed up and attached to the fixture's loop.
+  std::unique_ptr<ReadStrategy> make_lfu(std::size_t chunks,
+                                         std::size_t cache_bytes) {
+    api::ExperimentSpec spec;
+    spec.experiment.deployment.num_objects = 5;
+    spec.experiment.deployment.object_size_bytes = 9000;
+    spec.experiment.deployment.latency = zero_jitter();
+    spec.experiment.reconfig_period_ms = kPeriodMs;
+    spec.experiment.decode_ms_per_mb = 0.0;
+    spec.experiment.verify_data = true;
+    spec.set("system", "lfu");
+    spec.set("chunks", std::to_string(chunks));
+    spec.set("cache_bytes", std::to_string(cache_bytes));
+    deployment_ = std::make_unique<Deployment>(spec.experiment.deployment);
+    return api::make_strategy(spec, *deployment_, sim::region::kFrankfurt,
+                              loop_);
+  }
+
   /// Step the loop past the next reconfiguration: its probe round fires on
   /// the next period boundary, and the reconfiguration and population
   /// downloads land within kSettleMs.
@@ -82,6 +101,7 @@ class StrategyTest : public ::testing::Test {
   sim::EventLoop loop_;
   sim::Network network_;
   store::BackendCluster backend_;
+  std::unique_ptr<Deployment> deployment_;  ///< make_lfu's
 };
 
 TEST_F(StrategyTest, BackendLatencyIsSlowestNeededChunk) {
@@ -198,26 +218,17 @@ TEST_F(StrategyTest, EvictionLfuChargesProxyOverhead) {
   EXPECT_DOUBLE_EQ(r.latency_ms, 55.5);
 }
 
-LfuConfigParams lfu_params(std::size_t chunks, std::size_t cache_bytes) {
-  LfuConfigParams p;
-  p.chunks_per_object = chunks;
-  p.cache_capacity_bytes = cache_bytes;
-  p.reconfig_period_ms = kPeriodMs;
-  return p;
-}
-
 TEST_F(StrategyTest, PeriodicLfuHitsAfterReconfiguration) {
-  LfuConfigStrategy s(ctx(sim::region::kFrankfurt), lfu_params(9, 100_MB));
-  start(s);
+  auto s = make_lfu(9, 100_MB);
   // Before any reconfiguration nothing is configured: full backend read
   // plus the frequency proxy's 0.5 ms.
-  const ReadResult cold = s.read("object0");
+  const ReadResult cold = s->read("object0");
   EXPECT_DOUBLE_EQ(cold.latency_ms, 1130.5);
   // After the period rolls, object0 is the most frequent and gets its 9
   // designated chunks configured; the population downloads land off the
   // read path, so the very next read is a full hit.
   run_past_next_reconfiguration();
-  const ReadResult hit = s.read("object0");
+  const ReadResult hit = s->read("object0");
   EXPECT_TRUE(hit.full_hit);
   EXPECT_DOUBLE_EQ(hit.latency_ms, 55.5);
   EXPECT_TRUE(hit.verified);
@@ -225,23 +236,20 @@ TEST_F(StrategyTest, PeriodicLfuHitsAfterReconfiguration) {
 
 TEST_F(StrategyTest, PeriodicLfuRanksByFrequency) {
   // Room for exactly one 9-chunk object (1000-byte chunks).
-  LfuConfigStrategy s(ctx(sim::region::kFrankfurt),
-                      lfu_params(9, 9 * 1000 + 100));
-  start(s);
-  for (int i = 0; i < 5; ++i) (void)s.read("object1");
-  (void)s.read("object0");
+  auto s = make_lfu(9, 9 * 1000 + 100);
+  for (int i = 0; i < 5; ++i) (void)s->read("object1");
+  (void)s->read("object0");
   run_past_next_reconfiguration();
   // Only the most frequent object (object1) fits the configuration.
-  EXPECT_TRUE(s.read("object1").full_hit);
-  EXPECT_FALSE(s.read("object0").partial_hit);
+  EXPECT_TRUE(s->read("object1").full_hit);
+  EXPECT_FALSE(s->read("object0").partial_hit);
 }
 
 TEST_F(StrategyTest, PeriodicLfuPartialChunks) {
-  LfuConfigStrategy s(ctx(sim::region::kFrankfurt), lfu_params(5, 100_MB));
-  start(s);
-  (void)s.read("object0");
+  auto s = make_lfu(5, 100_MB);
+  (void)s->read("object0");
   run_past_next_reconfiguration();
-  const ReadResult r = s.read("object0");
+  const ReadResult r = s->read("object0");
   // 5 most distant needed chunks cached; residual is Dublin (100 ms).
   EXPECT_EQ(r.cache_chunks, 5u);
   EXPECT_FALSE(r.full_hit);
@@ -251,9 +259,8 @@ TEST_F(StrategyTest, PeriodicLfuPartialChunks) {
 }
 
 TEST_F(StrategyTest, PeriodicLfuZeroChunksThrows) {
-  LfuConfigParams p;
-  p.chunks_per_object = 0;
-  EXPECT_THROW(LfuConfigStrategy(ctx(0), p), std::invalid_argument);
+  // Thrown while building the strategy, before any reconfiguration runs.
+  EXPECT_THROW((void)make_lfu(0, 100_MB), std::invalid_argument);
 }
 
 TEST_F(StrategyTest, LruEvictsUnderPressure) {
@@ -269,19 +276,6 @@ TEST_F(StrategyTest, LruEvictsUnderPressure) {
   (void)s.read("object1");  // evicts object0's chunks
   const ReadResult r = s.read("object0");
   EXPECT_FALSE(r.full_hit);
-}
-
-TEST_F(StrategyTest, StrategyNames) {
-  FixedChunksParams p;
-  p.chunks_per_object = 7;
-  EXPECT_EQ(make_fixed(ctx(0), p)->name(), "LRU-7");
-  p.engine = "lfu";
-  p.chunks_per_object = 3;
-  EXPECT_EQ(make_fixed(ctx(0), p)->name(), "LFUev-3");
-  LfuConfigParams lp;
-  lp.chunks_per_object = 3;
-  EXPECT_EQ(LfuConfigStrategy(ctx(0), lp).name(), "LFU-3");
-  EXPECT_EQ(BackendStrategy(ctx(0)).name(), "Backend");
 }
 
 TEST_F(StrategyTest, ZeroChunksPerObjectThrows) {
