@@ -25,7 +25,8 @@ int main() {
   dep.seed = 77;
   dep.store_payloads = false;
   client::Deployment deployment(dep);
-  paxos::CoherenceCoordinator coherence(6, &deployment.network());
+  paxos::CoherenceCoordinator coherence(6, &deployment.network(),
+                                       &deployment.backend().objects());
 
   // (a) Write latency per writer region.
   const auto topology = sim::aws_six_regions();

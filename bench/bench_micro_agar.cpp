@@ -26,9 +26,12 @@ using namespace agar;
 void bm_monitor_record(benchmark::State& state, const std::string& estimator) {
   core::RequestMonitorParams params;
   params.estimator = estimator;
-  core::RequestMonitor monitor(params);
-  std::vector<ObjectKey> keys;
-  for (int i = 0; i < 300; ++i) keys.push_back("object" + std::to_string(i));
+  store::ObjectTable objects;
+  std::vector<ObjectId> keys;
+  for (int i = 0; i < 300; ++i) {
+    keys.push_back(objects.intern("object" + std::to_string(i)));
+  }
+  core::RequestMonitor monitor(params, &objects);
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(monitor.record_access(keys[i % keys.size()]));
@@ -163,7 +166,7 @@ BENCHMARK_F(ReconfigFixture, FullReconfiguration)(benchmark::State& state) {
     // Keep the monitor warm so the solver sees a realistic key set.
     for (int i = 0; i < 300; ++i) {
       (void)node_->request_monitor().record_access(
-          "object" + std::to_string(i % 50));
+          static_cast<ObjectId>(i % 50));
     }
     node_->cache_manager().reconfigure();
   }

@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
-#include <unordered_set>
 
 #include "api/registry.hpp"
 #include "cache/static_cache.hpp"
@@ -19,11 +18,12 @@ using namespace agar;
 constexpr std::size_t kChunk = 1024;
 constexpr std::size_t kUniverse = 1000;
 
-std::vector<std::string> make_keys() {
-  std::vector<std::string> keys;
+std::vector<ChunkRef> make_keys() {
+  store::ObjectTable objects;
+  std::vector<ChunkRef> keys;
   keys.reserve(kUniverse);
   for (std::size_t i = 0; i < kUniverse; ++i) {
-    keys.push_back("object" + std::to_string(i) + "#0");
+    keys.push_back(objects.chunk(objects.intern("object" + std::to_string(i)), 0));
   }
   return keys;
 }
@@ -55,10 +55,10 @@ void bm_static_cache_mixed(benchmark::State& state) {
   cache::StaticConfigCache engine(
       static_cast<std::size_t>(state.range(0)) * kChunk);
   // Configure the hot prefix (what the knapsack would pick).
-  std::unordered_set<std::string> configured;
   const auto keys = make_keys();
+  std::vector<ChunkMask> configured(keys.size(), 0);
   for (std::size_t i = 0; i < static_cast<std::size_t>(state.range(0)); ++i) {
-    configured.insert(keys[i]);
+    configured[keys[i].object] |= ChunkMask{1} << keys[i].index;
   }
   engine.install_configuration(std::move(configured));
   run_mixed(state, engine);
@@ -69,9 +69,10 @@ void bm_static_cache_reconfigure(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   cache::StaticConfigCache engine((n + 1) * kChunk);
   const auto keys = make_keys();
-  std::unordered_set<std::string> even, odd;
+  std::vector<ChunkMask> even(keys.size(), 0), odd(keys.size(), 0);
   for (std::size_t i = 0; i < n && i < keys.size(); ++i) {
-    (i % 2 == 0 ? even : odd).insert(keys[i]);
+    (i % 2 == 0 ? even : odd)[keys[i].object] |= ChunkMask{1}
+                                                 << keys[i].index;
   }
   bool flip = false;
   for (auto _ : state) {

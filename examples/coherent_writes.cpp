@@ -19,7 +19,8 @@ int main() {
       {"system=agar", "objects=10", "object_bytes=90KB", "seed=5",
        "verify=true", "region=frankfurt", "cache_bytes=5MB"});
   client::Deployment deployment(spec.experiment.deployment);
-  paxos::CoherenceCoordinator coherence(6, &deployment.network());
+  paxos::CoherenceCoordinator coherence(6, &deployment.network(),
+                                       &deployment.backend().objects());
 
   // Reader in Frankfurt with an Agar cache, built through the registry and
   // run on the simulation's event loop.

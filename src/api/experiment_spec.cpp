@@ -349,6 +349,11 @@ void ExperimentSpec::validate() const {
       experiment.deployment.codec.m == 0) {
     throw std::invalid_argument("rs_k and rs_m must be >= 1");
   }
+  if (experiment.deployment.codec.total() > kMaxStripeChunks) {
+    throw std::invalid_argument(
+        "rs_k + rs_m must be <= 64 (a configuration holds one 64-bit chunk "
+        "mask per object)");
+  }
   if (experiment.metric_window_ms < 0.0) {
     throw std::invalid_argument("window_ms must be >= 0");
   }

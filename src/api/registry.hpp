@@ -65,6 +65,9 @@ namespace agar::core {
 class Planner;
 class PopularityEstimator;
 }  // namespace agar::core
+namespace agar::store {
+class ObjectTable;
+}
 namespace agar::sim {
 class EventLoop;
 class Network;
@@ -107,9 +110,12 @@ struct StrategyContext {
 struct PlannerContext {};
 
 /// What a popularity-estimator factory gets to work with: the monitor's
-/// EWMA weighting (an experiment-level knob, not an estimator param).
+/// EWMA weighting (an experiment-level knob, not an estimator param) and
+/// the object table its ids come from (key order for snapshots and ties,
+/// key hashes for sketches). The table must outlive the estimator.
 struct EstimatorContext {
   double ewma_alpha = 0.8;
+  const store::ObjectTable* objects = nullptr;
 };
 
 /// What a fetch-policy factory gets to work with: the region's network (the

@@ -24,12 +24,12 @@ class ArcCache final : public CacheEngine {
  public:
   explicit ArcCache(std::size_t capacity_bytes);
 
-  [[nodiscard]] std::optional<SharedBytes> get(const std::string& key) override;
-  bool put(const std::string& key, SharedBytes value) override;
-  [[nodiscard]] bool contains(const std::string& key) const override;
-  bool erase(const std::string& key) override;
+  [[nodiscard]] std::optional<SharedBytes> get(const ChunkRef& key) override;
+  bool put(const ChunkRef& key, SharedBytes value) override;
+  [[nodiscard]] bool contains(const ChunkRef& key) const override;
+  bool erase(const ChunkRef& key) override;
   void clear() override;
-  [[nodiscard]] std::vector<std::string> keys() const override;
+  [[nodiscard]] std::vector<ChunkRef> keys() const override;
 
   /// Adaptive target: bytes of capacity currently granted to the
   /// recency-side list T1. For tests and inspection.
@@ -43,11 +43,11 @@ class ArcCache final : public CacheEngine {
 
  private:
   struct Entry {
-    std::string key;
+    ChunkRef key;
     SharedBytes value;
   };
   struct Ghost {
-    std::string key;
+    ChunkRef key;
     std::size_t size = 0;  ///< bytes the entry had when evicted
   };
   enum class Where { kT1, kT2, kB1, kB2 };
@@ -67,11 +67,11 @@ class ArcCache final : public CacheEngine {
   void trim_ghosts();
   void remove_ghost(std::list<Ghost>& list, std::size_t& bytes,
                     std::list<Ghost>::iterator it);
-  void insert_resident(Where where, const std::string& key, SharedBytes value);
+  void insert_resident(Where where, const ChunkRef& key, SharedBytes value);
 
   std::list<Entry> t1_, t2_;  // front = MRU
   std::list<Ghost> b1_, b2_;  // front = most recently evicted
-  std::unordered_map<std::string, Locator> index_;
+  std::unordered_map<ChunkRef, Locator> index_;
   std::size_t t1_bytes_ = 0, t2_bytes_ = 0;
   std::size_t b1_bytes_ = 0, b2_bytes_ = 0;
   std::size_t target_p_ = 0;  ///< T1's byte target, in [0, capacity]

@@ -1,7 +1,8 @@
 // Cache engine interface — the memcached stand-in.
 //
-// A cache stores byte payloads under string keys (chunk cache keys like
-// "object42#3") within a byte capacity. Engines differ only in their
+// A cache stores chunk payloads under ChunkRefs (object id + chunk index;
+// the paper's prototype addressed the same chunks as memcached string keys
+// like "object42#3") within a byte capacity. Engines differ only in their
 // replacement/admission policy: LRU and LFU evict on insert as memcached
 // and the paper's LFU proxy do; the Agar static cache admits only keys in
 // the currently installed configuration.
@@ -14,6 +15,7 @@
 
 #include "common/bytes.hpp"
 #include "common/shared_bytes.hpp"
+#include "common/types.hpp"
 
 namespace agar::cache {
 
@@ -45,24 +47,24 @@ class CacheEngine {
   /// returned handle shares the cached buffer (refcount bump, no copy) and
   /// stays valid even if the entry is evicted afterwards.
   [[nodiscard]] virtual std::optional<SharedBytes> get(
-      const std::string& key) = 0;
+      const ChunkRef& key) = 0;
 
   /// Insert a value (Bytes convert implicitly, adopted by move). Returns
   /// true if the value resides in the cache after the call (it may evict
   /// others), false if admission declined it.
-  virtual bool put(const std::string& key, SharedBytes value) = 0;
+  virtual bool put(const ChunkRef& key, SharedBytes value) = 0;
 
   /// Presence check with NO policy side effects (no recency update).
-  [[nodiscard]] virtual bool contains(const std::string& key) const = 0;
+  [[nodiscard]] virtual bool contains(const ChunkRef& key) const = 0;
 
   /// Remove a key; returns true if it was present.
-  virtual bool erase(const std::string& key) = 0;
+  virtual bool erase(const ChunkRef& key) = 0;
 
   /// Drop everything (counts as evictions).
   virtual void clear() = 0;
 
   /// All resident keys, unordered. For inspection/tests.
-  [[nodiscard]] virtual std::vector<std::string> keys() const = 0;
+  [[nodiscard]] virtual std::vector<ChunkRef> keys() const = 0;
 
   [[nodiscard]] std::size_t capacity_bytes() const { return capacity_bytes_; }
   [[nodiscard]] std::size_t used_bytes() const { return used_bytes_; }

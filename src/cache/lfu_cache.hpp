@@ -19,22 +19,22 @@ class LfuCache final : public CacheEngine {
  public:
   explicit LfuCache(std::size_t capacity_bytes);
 
-  [[nodiscard]] std::optional<SharedBytes> get(const std::string& key) override;
-  bool put(const std::string& key, SharedBytes value) override;
-  [[nodiscard]] bool contains(const std::string& key) const override;
-  bool erase(const std::string& key) override;
+  [[nodiscard]] std::optional<SharedBytes> get(const ChunkRef& key) override;
+  bool put(const ChunkRef& key, SharedBytes value) override;
+  [[nodiscard]] bool contains(const ChunkRef& key) const override;
+  bool erase(const ChunkRef& key) override;
   void clear() override;
-  [[nodiscard]] std::vector<std::string> keys() const override;
+  [[nodiscard]] std::vector<ChunkRef> keys() const override;
 
   /// Current access frequency of a resident key (0 if absent); for tests.
-  [[nodiscard]] std::uint64_t frequency(const std::string& key) const;
+  [[nodiscard]] std::uint64_t frequency(const ChunkRef& key) const;
 
   /// Key that would be evicted next; for tests.
-  [[nodiscard]] std::optional<std::string> eviction_candidate() const;
+  [[nodiscard]] std::optional<ChunkRef> eviction_candidate() const;
 
  private:
   struct Entry {
-    std::string key;
+    ChunkRef key;
     SharedBytes value;
   };
   struct Bucket {
@@ -50,12 +50,12 @@ class LfuCache final : public CacheEngine {
 
   /// Move an entry from its bucket to the bucket with frequency+1,
   /// creating/destroying buckets as needed.
-  void promote(const std::string& key, Locator& loc);
+  void promote(const ChunkRef& key, Locator& loc);
   void evict_until_fits(std::size_t incoming);
-  void remove_entry(const std::string& key, const Locator& loc);
+  void remove_entry(const ChunkRef& key, const Locator& loc);
 
   BucketList buckets_;  // ascending frequency order
-  std::unordered_map<std::string, Locator> index_;
+  std::unordered_map<ChunkRef, Locator> index_;
 };
 
 }  // namespace agar::cache

@@ -22,7 +22,7 @@ const api::EngineRegistration kLruEngine{{
 
 LruCache::LruCache(std::size_t capacity_bytes) : CacheEngine(capacity_bytes) {}
 
-std::optional<SharedBytes> LruCache::get(const std::string& key) {
+std::optional<SharedBytes> LruCache::get(const ChunkRef& key) {
   const auto it = index_.find(key);
   if (it == index_.end()) {
     ++stats_.misses;
@@ -44,7 +44,7 @@ void LruCache::evict_until_fits(std::size_t incoming) {
   }
 }
 
-bool LruCache::put(const std::string& key, SharedBytes value) {
+bool LruCache::put(const ChunkRef& key, SharedBytes value) {
   ++stats_.puts;
   if (value.size() > capacity_bytes_) {
     ++stats_.rejections;
@@ -69,11 +69,11 @@ bool LruCache::put(const std::string& key, SharedBytes value) {
   return true;
 }
 
-bool LruCache::contains(const std::string& key) const {
+bool LruCache::contains(const ChunkRef& key) const {
   return index_.contains(key);
 }
 
-bool LruCache::erase(const std::string& key) {
+bool LruCache::erase(const ChunkRef& key) {
   const auto it = index_.find(key);
   if (it == index_.end()) return false;
   used_bytes_ -= it->second->value.size();
@@ -89,14 +89,14 @@ void LruCache::clear() {
   used_bytes_ = 0;
 }
 
-std::vector<std::string> LruCache::keys() const {
-  std::vector<std::string> out;
+std::vector<ChunkRef> LruCache::keys() const {
+  std::vector<ChunkRef> out;
   out.reserve(index_.size());
   for (const auto& e : entries_) out.push_back(e.key);
   return out;
 }
 
-std::optional<std::string> LruCache::eviction_candidate() const {
+std::optional<ChunkRef> LruCache::eviction_candidate() const {
   if (entries_.empty()) return std::nullopt;
   return entries_.back().key;
 }

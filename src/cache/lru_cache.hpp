@@ -15,19 +15,19 @@ class LruCache final : public CacheEngine {
  public:
   explicit LruCache(std::size_t capacity_bytes);
 
-  [[nodiscard]] std::optional<SharedBytes> get(const std::string& key) override;
-  bool put(const std::string& key, SharedBytes value) override;
-  [[nodiscard]] bool contains(const std::string& key) const override;
-  bool erase(const std::string& key) override;
+  [[nodiscard]] std::optional<SharedBytes> get(const ChunkRef& key) override;
+  bool put(const ChunkRef& key, SharedBytes value) override;
+  [[nodiscard]] bool contains(const ChunkRef& key) const override;
+  bool erase(const ChunkRef& key) override;
   void clear() override;
-  [[nodiscard]] std::vector<std::string> keys() const override;
+  [[nodiscard]] std::vector<ChunkRef> keys() const override;
 
   /// Key that would be evicted next (least recently used); for tests.
-  [[nodiscard]] std::optional<std::string> eviction_candidate() const;
+  [[nodiscard]] std::optional<ChunkRef> eviction_candidate() const;
 
  private:
   struct Entry {
-    std::string key;
+    ChunkRef key;
     SharedBytes value;
   };
   using List = std::list<Entry>;
@@ -35,7 +35,7 @@ class LruCache final : public CacheEngine {
   void evict_until_fits(std::size_t incoming);
 
   List entries_;  // front = most recent, back = least recent
-  std::unordered_map<std::string, List::iterator> index_;
+  std::unordered_map<ChunkRef, List::iterator> index_;
 };
 
 }  // namespace agar::cache

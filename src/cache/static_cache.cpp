@@ -1,13 +1,16 @@
 #include "cache/static_cache.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <stdexcept>
 
 namespace agar::cache {
 
-StaticConfigCache::StaticConfigCache(std::size_t capacity_bytes)
-    : CacheEngine(capacity_bytes) {}
+StaticConfigCache::StaticConfigCache(std::size_t capacity_bytes,
+                                     const store::ObjectTable* objects)
+    : CacheEngine(capacity_bytes), objects_(objects) {}
 
-std::optional<SharedBytes> StaticConfigCache::get(const std::string& key) {
+std::optional<SharedBytes> StaticConfigCache::get(const ChunkRef& key) {
   const auto it = entries_.find(key);
   if (it == entries_.end()) {
     ++stats_.misses;
@@ -17,9 +20,9 @@ std::optional<SharedBytes> StaticConfigCache::get(const std::string& key) {
   return it->second;  // shared handle, no copy
 }
 
-bool StaticConfigCache::put(const std::string& key, SharedBytes value) {
+bool StaticConfigCache::put(const ChunkRef& key, SharedBytes value) {
   ++stats_.puts;
-  if (!configured_.contains(key)) {
+  if (!is_configured(key)) {
     ++stats_.rejections;
     return false;
   }
@@ -48,11 +51,11 @@ bool StaticConfigCache::put(const std::string& key, SharedBytes value) {
   return true;
 }
 
-bool StaticConfigCache::contains(const std::string& key) const {
+bool StaticConfigCache::contains(const ChunkRef& key) const {
   return entries_.contains(key);
 }
 
-bool StaticConfigCache::erase(const std::string& key) {
+bool StaticConfigCache::erase(const ChunkRef& key) {
   const auto it = entries_.find(key);
   if (it == entries_.end()) return false;
   used_bytes_ -= it->second.size();
@@ -66,25 +69,31 @@ void StaticConfigCache::clear() {
   used_bytes_ = 0;
 }
 
-std::vector<std::string> StaticConfigCache::keys() const {
-  std::vector<std::string> out;
+std::vector<ChunkRef> StaticConfigCache::keys() const {
+  std::vector<ChunkRef> out;
   out.reserve(entries_.size());
   // agar-lint: ordered-ok(sorted below before returning)
   for (const auto& [key, value] : entries_) out.push_back(key);
   // Callers compare and print key lists; hand them a stable order rather
   // than the hash-map's.
-  std::sort(out.begin(), out.end());
+  std::sort(out.begin(), out.end(), [](const ChunkRef& a, const ChunkRef& b) {
+    return a.packed() < b.packed();
+  });
   return out;
 }
 
 void StaticConfigCache::install_configuration(
-    std::unordered_set<std::string> configured) {
+    std::vector<ChunkMask> configured) {
   configured_ = std::move(configured);
+  configured_chunks_ = 0;
+  for (const ChunkMask mask : configured_) {
+    configured_chunks_ += static_cast<std::size_t>(std::popcount(mask));
+  }
   ++reconfigurations_;
   // agar-lint: ordered-ok(pure eviction sweep; membership test + counter, no
   // order-dependent output)
   for (auto it = entries_.begin(); it != entries_.end();) {
-    if (!configured_.contains(it->first)) {
+    if (!is_configured(it->first)) {
       used_bytes_ -= it->second.size();
       it = entries_.erase(it);
       ++stats_.evictions;
@@ -94,8 +103,30 @@ void StaticConfigCache::install_configuration(
   }
 }
 
-bool StaticConfigCache::is_configured(const std::string& key) const {
-  return configured_.contains(key);
+ChunkRef StaticConfigCache::resolve(const std::string& cache_key) const {
+  if (objects_ == nullptr) {
+    throw std::logic_error("StaticConfigCache: no object table to resolve " +
+                           cache_key);
+  }
+  const auto ref = objects_->find_chunk(cache_key);
+  if (!ref.has_value()) {
+    throw std::out_of_range("StaticConfigCache: not a chunk of a known "
+                            "object: " + cache_key);
+  }
+  return *ref;
+}
+
+std::optional<SharedBytes> StaticConfigCache::get(
+    const std::string& cache_key) {
+  return get(resolve(cache_key));
+}
+
+bool StaticConfigCache::put(const std::string& cache_key, SharedBytes value) {
+  return put(resolve(cache_key), std::move(value));
+}
+
+bool StaticConfigCache::contains(const std::string& cache_key) const {
+  return contains(resolve(cache_key));
 }
 
 }  // namespace agar::cache

@@ -15,39 +15,60 @@
 
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "cache/cache.hpp"
+#include "store/object_table.hpp"
 
 namespace agar::cache {
 
 class StaticConfigCache final : public CacheEngine {
  public:
-  explicit StaticConfigCache(std::size_t capacity_bytes);
+  /// `objects` resolves the string-keyed adapters below (null: they throw
+  /// std::logic_error); the id-keyed interface never touches it.
+  explicit StaticConfigCache(std::size_t capacity_bytes,
+                             const store::ObjectTable* objects = nullptr);
 
-  [[nodiscard]] std::optional<SharedBytes> get(const std::string& key) override;
-  bool put(const std::string& key, SharedBytes value) override;
-  [[nodiscard]] bool contains(const std::string& key) const override;
-  bool erase(const std::string& key) override;
+  [[nodiscard]] std::optional<SharedBytes> get(const ChunkRef& key) override;
+  bool put(const ChunkRef& key, SharedBytes value) override;
+  [[nodiscard]] bool contains(const ChunkRef& key) const override;
+  bool erase(const ChunkRef& key) override;
   void clear() override;
-  [[nodiscard]] std::vector<std::string> keys() const override;
+  /// Sorted by (object id, index).
+  [[nodiscard]] std::vector<ChunkRef> keys() const override;
 
-  /// Install a new configuration: the exact set of admissible keys.
-  /// Resident entries outside the new set are evicted immediately; keys in
-  /// the set are admitted lazily as clients put them.
-  void install_configuration(std::unordered_set<std::string> configured);
+  /// Chunk cache-key ("<key>#<index>") adapters: each resolves the key
+  /// through the object table (std::out_of_range if it names no chunk of
+  /// a known object) and calls the ChunkRef form.
+  [[nodiscard]] std::optional<SharedBytes> get(const std::string& cache_key);
+  bool put(const std::string& cache_key, SharedBytes value);
+  [[nodiscard]] bool contains(const std::string& cache_key) const;
 
-  [[nodiscard]] bool is_configured(const std::string& key) const;
+  /// Install a new configuration: chunk masks indexed by object id (an id
+  /// past the end configures nothing) — the exact set of admissible
+  /// chunks. Resident entries outside the new set are evicted
+  /// immediately; configured chunks are admitted lazily as clients put
+  /// them.
+  void install_configuration(std::vector<ChunkMask> configured);
+
+  [[nodiscard]] bool is_configured(const ChunkRef& key) const {
+    return key.object < configured_.size() &&
+           ((configured_[key.object] >> key.index) & 1U) != 0;
+  }
   [[nodiscard]] std::size_t configured_size() const {
-    return configured_.size();
+    return configured_chunks_;
   }
   [[nodiscard]] std::uint64_t reconfigurations() const {
     return reconfigurations_;
   }
 
  private:
-  std::unordered_set<std::string> configured_;
-  std::unordered_map<std::string, SharedBytes> entries_;
+  [[nodiscard]] ChunkRef resolve(const std::string& cache_key) const;
+
+  const store::ObjectTable* objects_;  // non-owning, may be null
+  std::vector<ChunkMask> configured_;
+  std::size_t configured_chunks_ = 0;
+  std::unordered_map<ChunkRef, SharedBytes> entries_;
   std::uint64_t reconfigurations_ = 0;
 };
 

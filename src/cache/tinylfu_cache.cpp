@@ -39,8 +39,8 @@ TinyLfuCache::TinyLfuCache(std::size_t capacity_bytes, TinyLfuParams params)
       inner_(capacity_bytes),
       sketch_(params.sketch_width, params.sketch_depth, params.aging_window) {}
 
-std::optional<SharedBytes> TinyLfuCache::get(const std::string& key) {
-  sketch_.add(key);
+std::optional<SharedBytes> TinyLfuCache::get(const ChunkRef& key) {
+  sketch_.add(key.hash);
   auto result = inner_.get(key);
   if (result.has_value()) {
     ++stats_.hits;
@@ -51,7 +51,7 @@ std::optional<SharedBytes> TinyLfuCache::get(const std::string& key) {
   return result;
 }
 
-bool TinyLfuCache::put(const std::string& key, SharedBytes value) {
+bool TinyLfuCache::put(const ChunkRef& key, SharedBytes value) {
   ++stats_.puts;
   if (value.size() > capacity_bytes_) {
     ++stats_.rejections;
@@ -63,7 +63,7 @@ bool TinyLfuCache::put(const std::string& key, SharedBytes value) {
       inner_.used_bytes() + value.size() > capacity_bytes_) {
     const auto victim = inner_.eviction_candidate();
     if (victim.has_value() &&
-        sketch_.estimate(key) < sketch_.estimate(*victim)) {
+        sketch_.estimate(key.hash) < sketch_.estimate(victim->hash)) {
       ++stats_.rejections;
       return false;
     }
@@ -78,11 +78,11 @@ bool TinyLfuCache::put(const std::string& key, SharedBytes value) {
   return ok;
 }
 
-bool TinyLfuCache::contains(const std::string& key) const {
+bool TinyLfuCache::contains(const ChunkRef& key) const {
   return inner_.contains(key);
 }
 
-bool TinyLfuCache::erase(const std::string& key) {
+bool TinyLfuCache::erase(const ChunkRef& key) {
   const bool ok = inner_.erase(key);
   used_bytes_ = inner_.used_bytes();
   return ok;
@@ -93,6 +93,6 @@ void TinyLfuCache::clear() {
   used_bytes_ = 0;
 }
 
-std::vector<std::string> TinyLfuCache::keys() const { return inner_.keys(); }
+std::vector<ChunkRef> TinyLfuCache::keys() const { return inner_.keys(); }
 
 }  // namespace agar::cache

@@ -25,12 +25,12 @@ class TinyLfuCache final : public CacheEngine {
  public:
   TinyLfuCache(std::size_t capacity_bytes, TinyLfuParams params = {});
 
-  [[nodiscard]] std::optional<SharedBytes> get(const std::string& key) override;
-  bool put(const std::string& key, SharedBytes value) override;
-  [[nodiscard]] bool contains(const std::string& key) const override;
-  bool erase(const std::string& key) override;
+  [[nodiscard]] std::optional<SharedBytes> get(const ChunkRef& key) override;
+  bool put(const ChunkRef& key, SharedBytes value) override;
+  [[nodiscard]] bool contains(const ChunkRef& key) const override;
+  bool erase(const ChunkRef& key) override;
   void clear() override;
-  [[nodiscard]] std::vector<std::string> keys() const override;
+  [[nodiscard]] std::vector<ChunkRef> keys() const override;
 
   [[nodiscard]] const stats::CountMinSketch& sketch() const { return sketch_; }
 

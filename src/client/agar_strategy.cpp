@@ -107,9 +107,10 @@ AgarStrategy::AgarStrategy(ClientContext ctx, core::AgarNodeParams node_params)
 void AgarStrategy::warm_up() { node_->warm_up(); }
 
 void AgarStrategy::populate_configuration() {
+  // Key order: each download's event sequence numbers follow it.
   for (const auto& [key, option] : node_->cache_manager().current().entries) {
     for (const ChunkIndex idx : option.chunks) {
-      populate_chunk_async(key, idx, node_->cache());
+      populate_chunk_async(option.object, idx, node_->cache());
     }
   }
 }
@@ -130,11 +131,7 @@ void AgarStrategy::attach_to_loop(sim::EventLoop& loop) {
 collab::PeerInfo AgarStrategy::collab_info() {
   collab::PeerInfo info;
   info.region = node_->region();
-  for (const auto& [key, opt] : node_->cache_manager().current().entries) {
-    for (const ChunkIndex idx : opt.chunks) {
-      info.configured_chunks.insert(ChunkId{opt.key, idx}.cache_key());
-    }
-  }
+  info.configured = node_->cache_manager().current().masks;
   info.popularity = node_->request_monitor().snapshot();
   return info;
 }
@@ -150,9 +147,9 @@ void AgarStrategy::set_collab_hooks(const core::CollabPlannerHooks& hooks) {
   }
 }
 
-void AgarStrategy::start_read(const ObjectKey& key, ReadCallback done) {
-  core::ReadPlan plan = node_->plan_read(key);
-  start_plan(key, chunks_by_expected_latency(ctx_, key), std::move(plan),
+void AgarStrategy::start_read(ObjectId id, ReadCallback done) {
+  core::ReadPlan plan = node_->plan_read(id);
+  start_plan(id, chunks_by_expected_latency(ctx_, id), std::move(plan),
              &node_->cache(), std::move(done));
 }
 

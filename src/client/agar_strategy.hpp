@@ -22,7 +22,7 @@ class AgarStrategy final : public ReadStrategy {
  public:
   AgarStrategy(ClientContext ctx, core::AgarNodeParams node_params);
 
-  void start_read(const ObjectKey& key, ReadCallback done) override;
+  void start_read(ObjectId id, ReadCallback done) override;
 
   void warm_up() override;
   void attach_to_loop(sim::EventLoop& loop) override;
@@ -41,7 +41,7 @@ class AgarStrategy final : public ReadStrategy {
   }
 
   /// Broadcastable cache state for the cooperative tier (configured chunk
-  /// keys + popularity snapshot — the paper's §VI broadcast).
+  /// masks + popularity snapshot — the paper's §VI broadcast).
   [[nodiscard]] collab::PeerInfo collab_info() override;
 
   /// Forward the cooperative-planning hooks to the cache manager when the

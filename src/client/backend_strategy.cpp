@@ -22,20 +22,22 @@ const api::StrategyRegistration kBackend{{
 }  // namespace
 
 std::vector<std::pair<ChunkIndex, RegionId>> chunks_by_expected_latency(
-    const ClientContext& ctx, const ObjectKey& key) {
-  const store::ObjectInfo info = ctx.backend->object_info(key);
+    const ClientContext& ctx, ObjectId id) {
+  const std::size_t total = ctx.backend->codec().rs().total();
+  const std::size_t chunk_size = ctx.backend->chunk_size(id);
   struct Entry {
     ChunkIndex index;
     RegionId region;
     double expected_ms;
   };
   std::vector<Entry> entries;
-  entries.reserve(info.locations.size());
-  for (const auto& loc : info.locations) {
-    entries.push_back(Entry{
-        loc.index, loc.region,
-        ctx.network->model().expected_backend_fetch_ms(
-            ctx.region, loc.region, info.chunk_size)});
+  entries.reserve(total);
+  for (std::size_t i = 0; i < total; ++i) {
+    const auto idx = static_cast<ChunkIndex>(i);
+    const RegionId region = ctx.backend->region_of(id, idx);
+    entries.push_back(Entry{idx, region,
+                            ctx.network->model().expected_backend_fetch_ms(
+                                ctx.region, region, chunk_size)});
   }
   std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
     if (a.expected_ms != b.expected_ms) return a.expected_ms < b.expected_ms;
@@ -48,13 +50,18 @@ std::vector<std::pair<ChunkIndex, RegionId>> chunks_by_expected_latency(
   return out;
 }
 
-void BackendStrategy::start_read(const ObjectKey& key, ReadCallback done) {
+std::vector<std::pair<ChunkIndex, RegionId>> chunks_by_expected_latency(
+    const ClientContext& ctx, const ObjectKey& key) {
+  return chunks_by_expected_latency(ctx, ctx.backend->objects().id_of(key));
+}
+
+void BackendStrategy::start_read(ObjectId id, ReadCallback done) {
   const std::size_t k = ctx_.backend->codec().k();
-  const auto candidates = chunks_by_expected_latency(ctx_, key);
+  const auto candidates = chunks_by_expected_latency(ctx_, id);
   core::ReadPlan plan;
   plan.from_backend.assign(candidates.begin(),
                            candidates.begin() + static_cast<std::ptrdiff_t>(k));
-  start_plan(key, candidates, std::move(plan), nullptr, std::move(done));
+  start_plan(id, candidates, std::move(plan), nullptr, std::move(done));
 }
 
 }  // namespace agar::client

@@ -36,14 +36,14 @@ FixedChunksStrategy::FixedChunksStrategy(
   }
 }
 
-void FixedChunksStrategy::start_read(const ObjectKey& key, ReadCallback done) {
+void FixedChunksStrategy::start_read(ObjectId id, ReadCallback done) {
   const std::size_t k = ctx_.backend->codec().k();
   const std::size_t c = std::min(params_.chunks_per_object, k);
 
   // Candidates cheapest-first; the k cheapest are the needed set, of which
   // the c most distant (the tail) are the designated cache-resident chunks:
   // served from the cache when resident, (re-)inserted after the read.
-  const auto candidates = chunks_by_expected_latency(ctx_, key);
+  const auto candidates = chunks_by_expected_latency(ctx_, id);
   core::ReadPlan plan;
   for (std::size_t i = 0; i < k; ++i) {
     if (i < k - c) {
@@ -54,7 +54,7 @@ void FixedChunksStrategy::start_read(const ObjectKey& key, ReadCallback done) {
   }
   plan.populate_after_read = plan.from_cache;
   plan.monitor_overhead_ms = params_.proxy_overhead_ms;
-  start_plan(key, candidates, std::move(plan), cache_.get(), std::move(done));
+  start_plan(id, candidates, std::move(plan), cache_.get(), std::move(done));
 }
 
 // ----------------------------------------------------------- registration

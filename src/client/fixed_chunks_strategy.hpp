@@ -36,7 +36,7 @@ class FixedChunksStrategy final : public ReadStrategy {
   FixedChunksStrategy(ClientContext ctx, FixedChunksParams params,
                       std::unique_ptr<cache::CacheEngine> engine);
 
-  void start_read(const ObjectKey& key, ReadCallback done) override;
+  void start_read(ObjectId id, ReadCallback done) override;
 
   [[nodiscard]] cache::CacheEngine& engine() { return *cache_; }
   [[nodiscard]] const cache::CacheEngine* cache_engine() const override {

@@ -23,12 +23,14 @@ Deployment::Deployment(const DeploymentConfig& config) : config_(config) {
       std::make_shared<ec::RoundRobinPlacement>(
           config.per_key_placement_offset));
   if (config.store_payloads) {
-    store::populate_working_set(*backend_, config.num_objects,
-                                config.object_size_bytes);
+    working_set_ = store::populate_working_set(
+        *backend_, config.num_objects, config.object_size_bytes);
   } else {
+    working_set_.reserve(config.num_objects);
+    backend_->reserve(config.num_objects);
     for (std::size_t i = 0; i < config.num_objects; ++i) {
-      backend_->register_object("object" + std::to_string(i),
-                                config.object_size_bytes);
+      working_set_.push_back(backend_->register_object(
+          "object" + std::to_string(i), config.object_size_bytes));
     }
   }
 }
@@ -80,8 +82,8 @@ RunResult run_once(const ExperimentConfig& config,
         lane_nets.push_back(&deployment.lane_network(i));
       }
       collab_rt = std::make_unique<collab::CollabRuntime>(
-          *settings, &engine, &deployment.topology(), regions,
-          std::move(lane_nets));
+          *settings, &engine, &deployment.topology(),
+          &deployment.backend().objects(), regions, std::move(lane_nets));
     }
   }
   collab::CollabRuntime* const crt = collab_rt.get();
@@ -193,7 +195,7 @@ RunResult run_once(const ExperimentConfig& config,
     auto begin_read = [&lane](Workload& workload,
                               ReadStrategy::ReadCallback done) {
       lane.recorder.begin_read();
-      lane.strategy->start_read(workload.next_key(), std::move(done));
+      lane.strategy->start_read(workload.next_id(), std::move(done));
     };
 
     if (config.arrival_rate_per_s > 0.0) {
@@ -203,7 +205,7 @@ RunResult run_once(const ExperimentConfig& config,
       // still in flight.
       const SimTimeMs mean_gap_ms = 1000.0 / config.arrival_rate_per_s;
       lane.clients.push_back(std::make_unique<ClientState>(ClientState{
-          Workload(config.workload, config.deployment.num_objects,
+          Workload(config.workload, deployment.working_set(),
                    workload_stream_seed(run_seed, ri, 0)),
           Rng(workload_stream_seed(run_seed, ri, 7777)), lane.budget, {}}));
       ClientState* state = lane.clients.back().get();
@@ -233,7 +235,7 @@ RunResult run_once(const ExperimentConfig& config,
           std::max<std::size_t>(1, config.num_clients);
       for (std::size_t c = 0; c < per_region; ++c) {
         lane.clients.push_back(std::make_unique<ClientState>(ClientState{
-            Workload(config.workload, config.deployment.num_objects,
+            Workload(config.workload, deployment.working_set(),
                      workload_stream_seed(run_seed, ri, c)),
             Rng(0), 0, {}}));
         ClientState* state = lane.clients.back().get();

@@ -49,6 +49,11 @@ class Deployment {
   [[nodiscard]] sim::Network& network() { return *network_; }
   [[nodiscard]] store::BackendCluster& backend() { return *backend_; }
   [[nodiscard]] const DeploymentConfig& config() const { return config_; }
+  /// Ids of the working set "object0".."object<N-1>", by object index —
+  /// what client workloads hand out.
+  [[nodiscard]] const std::vector<ObjectId>& working_set() const {
+    return working_set_;
+  }
 
   /// Partition the deployment for lane-parallel runs: one client region per
   /// lane. Lane 0 keeps the primary network (and the backend's codec), so
@@ -88,6 +93,7 @@ class Deployment {
   std::unique_ptr<sim::Topology> topology_;
   std::unique_ptr<sim::Network> network_;
   std::unique_ptr<store::BackendCluster> backend_;
+  std::vector<ObjectId> working_set_;
   std::vector<RegionId> lane_regions_;
   std::vector<std::unique_ptr<sim::Network>> lane_networks_;   // lanes 1..
   std::vector<std::unique_ptr<ec::ObjectCodec>> lane_codecs_;  // lanes 1..

@@ -9,16 +9,25 @@
 
 namespace agar::client {
 
-ReadStrategy::ReadStrategy(ClientContext ctx) : ctx_(ctx), fetcher_(ctx.network) {
-  if (ctx_.backend == nullptr || ctx_.network == nullptr) {
+namespace {
+
+const store::ObjectTable* objects_of(const ClientContext& ctx) {
+  if (ctx.backend == nullptr || ctx.network == nullptr) {
     throw std::invalid_argument("ReadStrategy: null backend/network");
   }
+  return &ctx.backend->objects();
+}
+
+}  // namespace
+
+ReadStrategy::ReadStrategy(ClientContext ctx)
+    : ctx_(ctx), fetcher_(ctx.network, objects_of(ctx)) {
   if (ctx_.fetch_policy != nullptr) {
     // Install the policy *under* the coalescing table: one in-flight entry
     // per chunk regardless of how many retries/hedges the policy spends.
     fetcher_.set_transport(
         [policy = ctx_.fetch_policy.get()](
-            const ChunkId&, RegionId from, RegionId to, std::size_t bytes,
+            const ChunkRef&, RegionId from, RegionId to, std::size_t bytes,
             core::FetchCoordinator::Callback cb) {
           return policy->begin_fetch(from, to, bytes, std::move(cb));
         });
@@ -35,8 +44,8 @@ void ReadStrategy::enable_collab(CollabRoute route, CollabDone done) {
   // actually landed.
   fetcher_.set_transport(
       [this, route = std::move(route), done = std::move(done)](
-          const ChunkId& chunk, RegionId from, RegionId to, std::size_t bytes,
-          core::FetchCoordinator::Callback cb) {
+          const ChunkRef& chunk, RegionId from, RegionId to,
+          std::size_t bytes, core::FetchCoordinator::Callback cb) {
         const RegionId target = route ? route(chunk, to, bytes) : to;
         core::FetchCoordinator::Callback wrapped =
             [done, target, to, bytes,
@@ -53,13 +62,13 @@ void ReadStrategy::enable_collab(CollabRoute route, CollabDone done) {
       });
 }
 
-ReadResult ReadStrategy::read(const ObjectKey& key) {
+ReadResult ReadStrategy::read(ObjectId id) {
   if (ctx_.loop == nullptr) {
     throw std::logic_error("ReadStrategy::read: no event loop attached");
   }
   ReadResult out;
   bool done = false;
-  start_read(key, [&](const ReadResult& r) {
+  start_read(id, [&](const ReadResult& r) {
     out = r;
     done = true;
   });
@@ -73,8 +82,9 @@ ReadResult ReadStrategy::read(const ObjectKey& key) {
 /// One read in flight: its plan, the backend arms issued so far and the
 /// result being assembled.
 struct ReadStrategy::BatchState {
-  ObjectKey key;
-  store::ObjectInfo info;
+  ObjectId id = 0;
+  std::size_t object_size = 0;
+  std::size_t chunk_size = 0;
   core::ReadPlan plan;
   cache::CacheEngine* cache = nullptr;
   std::size_t want = 0;      // backend arms we aim to keep in flight
@@ -95,8 +105,7 @@ struct ReadStrategy::BatchState {
   ReadCallback done;
 };
 
-void ReadStrategy::start_plan(const ObjectKey& key,
-                              const Candidates& candidates,
+void ReadStrategy::start_plan(ObjectId id, const Candidates& candidates,
                               core::ReadPlan plan, cache::CacheEngine* cache,
                               ReadCallback done) {
   sim::EventLoop* const loop = ctx_.loop;
@@ -104,8 +113,9 @@ void ReadStrategy::start_plan(const ObjectKey& key,
     throw std::logic_error("ReadStrategy: start_read requires a loop");
   }
   auto st = std::make_shared<BatchState>();
-  st->key = key;
-  st->info = ctx_.backend->object_info(key);
+  st->id = id;
+  st->object_size = ctx_.backend->object_size(id);
+  st->chunk_size = ctx_.backend->chunk_size(id);
   st->cache = cache;
   st->start = loop->now();
   st->done = std::move(done);
@@ -115,16 +125,15 @@ void ReadStrategy::start_plan(const ObjectKey& key,
   st->on_path = plan.from_backend;
   std::vector<SimTimeMs> cache_latencies;
   for (const ChunkIndex idx : plan.from_cache) {
-    const auto hit = cache != nullptr
-                         ? cache->get(ChunkId{key, idx}.cache_key())
-                         : std::nullopt;
+    const auto hit = cache != nullptr ? cache->get(ctx_.backend->chunk(id, idx))
+                                      : std::nullopt;
     if (!hit.has_value()) {
       st->on_path.push_back(*std::find_if(
           candidates.begin(), candidates.end(),
           [idx](const auto& cand) { return cand.first == idx; }));
       continue;
     }
-    cache_latencies.push_back(ctx_.network->cache_fetch(st->info.chunk_size));
+    cache_latencies.push_back(ctx_.network->cache_fetch(st->chunk_size));
     ++st->result.cache_chunks;
     if (ctx_.verify_data) {
       st->collected.push_back(ec::Chunk{idx, *hit});  // shared, no copy
@@ -143,7 +152,7 @@ void ReadStrategy::start_plan(const ObjectKey& key,
   }
   st->want = ctx_.backend->codec().k() - st->result.cache_chunks;
   st->extra = ctx_.decode_ms_per_mb *
-                  static_cast<double>(st->info.object_size) /
+                  static_cast<double>(st->object_size) /
                   static_cast<double>(1_MB) +
               plan.monitor_overhead_ms;
   st->plan = std::move(plan);
@@ -167,7 +176,8 @@ void ReadStrategy::batch_issue(const std::shared_ptr<BatchState>& st) {
   auto try_issue = [&](const std::pair<ChunkIndex, RegionId>& target) {
     const auto [index, region] = target;
     const core::FetchStart started = fetcher_.fetch(
-        ChunkId{st->key, index}, ctx_.region, region, st->info.chunk_size,
+        ctx_.backend->chunk(st->id, index), ctx_.region, region,
+        st->chunk_size,
         [this, st, index](std::optional<SimTimeMs> latency) {
           if (latency.has_value()) {
             st->fetched.push_back(index);
@@ -221,7 +231,7 @@ void ReadStrategy::batch_arm_done(const std::shared_ptr<BatchState>& st) {
 
 void ReadStrategy::finish_read(BatchState& st) {
   ReadResult& result = st.result;
-  const ObjectKey& key = st.key;
+  const ObjectId id = st.id;
   result.backend_chunks = st.fetched.size();
   result.full_hit = result.cache_chunks == ctx_.backend->codec().k();
   result.partial_hit = result.cache_chunks > 0;
@@ -231,39 +241,38 @@ void ReadStrategy::finish_read(BatchState& st) {
   // landed meanwhile (a population fetch, or a hit that kept its recency)
   // is not written again.
   for (const ChunkIndex idx : st.plan.populate_after_read) {
-    const std::string ck = ChunkId{key, idx}.cache_key();
-    if (st.cache->contains(ck)) continue;
-    SharedBytes payload = population_payload(key, idx, st.info.chunk_size);
+    const ChunkRef chunk = ctx_.backend->chunk(id, idx);
+    if (st.cache->contains(chunk)) continue;
+    SharedBytes payload = population_payload(chunk, st.chunk_size);
     if (ctx_.verify_data && payload.empty()) continue;
-    st.cache->put(ck, std::move(payload));
+    st.cache->put(chunk, std::move(payload));
   }
   for (const auto& [idx, region] : st.plan.async_populate) {
     (void)region;
     // Population fetch crosses the network as a background event (traffic
     // counted; coalesces with any in-flight read of the same chunk); its
     // latency is off the read path.
-    populate_chunk_async(key, idx, *st.cache);
+    populate_chunk_async(id, idx, *st.cache);
   }
 
   if (ctx_.verify_data && !result.failed) {
     for (const ChunkIndex idx : st.fetched) {
-      const auto bytes = ctx_.backend->get_chunk(ChunkId{key, idx});
+      const auto bytes = ctx_.backend->get_chunk(ctx_.backend->chunk(id, idx));
       if (bytes.has_value()) st.collected.push_back(ec::Chunk{idx, *bytes});
     }
-    result.verified = verify_payload(key, st.collected);
+    result.verified = verify_payload(id, st.collected);
   }
   st.done(result);
 }
 
 // ------------------------------------------------------------- population
 
-SharedBytes ReadStrategy::population_payload(const ObjectKey& key,
-                                             ChunkIndex index,
+SharedBytes ReadStrategy::population_payload(const ChunkRef& chunk,
                                              std::size_t chunk_size) const {
   if (ctx_.verify_data) {
     // Share the backend's buffer; empty handle if the bytes were never
     // materialized (latency-only objects).
-    const auto bytes = ctx_.backend->get_chunk(ChunkId{key, index});
+    const auto bytes = ctx_.backend->get_chunk(chunk);
     return bytes.has_value() ? *bytes : SharedBytes{};
   }
   // Latency-only mode: only the size matters to the cache, so every
@@ -274,27 +283,24 @@ SharedBytes ReadStrategy::population_payload(const ObjectKey& key,
   return zero_payload_;
 }
 
-void ReadStrategy::populate_chunk_async(const ObjectKey& key, ChunkIndex index,
+void ReadStrategy::populate_chunk_async(ObjectId id, ChunkIndex index,
                                         cache::CacheEngine& cache) {
-  const std::string ck = ChunkId{key, index}.cache_key();
-  if (cache.contains(ck)) return;
-  const store::ObjectInfo info = ctx_.backend->object_info(key);
-  const RegionId region = ctx_.backend->placement().region_of(
-      key, index, ctx_.backend->num_regions());
+  const ChunkRef chunk = ctx_.backend->chunk(id, index);
+  if (cache.contains(chunk)) return;
+  const std::size_t chunk_size = ctx_.backend->chunk_size(id);
   (void)fetcher_.fetch(
-      ChunkId{key, index}, ctx_.region, region, info.chunk_size,
-      [this, key, index, &cache,
-       chunk_size = info.chunk_size](std::optional<SimTimeMs> latency) {
+      chunk, ctx_.region, ctx_.backend->region_of(id, index), chunk_size,
+      [this, chunk, &cache, chunk_size](std::optional<SimTimeMs> latency) {
         if (!latency.has_value()) return;  // region down; retry next period
-        SharedBytes payload = population_payload(key, index, chunk_size);
+        SharedBytes payload = population_payload(chunk, chunk_size);
         if (ctx_.verify_data && payload.empty()) return;  // no backend bytes
-        cache.put(ChunkId{key, index}.cache_key(), std::move(payload));
+        cache.put(chunk, std::move(payload));
       });
 }
 
-bool ReadStrategy::verify_payload(const ObjectKey& key,
+bool ReadStrategy::verify_payload(ObjectId id,
                                   const std::vector<ec::Chunk>& chunks) {
-  const store::WrittenObject& written = ctx_.backend->written(key);
+  const store::WrittenObject& written = ctx_.backend->written(id);
   if (written.data.empty()) return false;  // no bytes were ever stored
   const ec::ObjectCodec& codec =
       ctx_.codec != nullptr ? *ctx_.codec : ctx_.backend->codec();

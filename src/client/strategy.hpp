@@ -3,13 +3,15 @@
 // classic eviction policy), and the two periodic systems on an AgarNode,
 // LFU-c (popularity-ranked fixed c) and Agar (knapsack).
 //
-// A strategy turns `start_read(key, done)` into a core::ReadPlan and hands
-// it to `start_plan`, the one read path every system shares: chunk fetches
-// begin on the network (which enforces per-region concurrency limits),
-// duplicate fetches coalesce in the strategy's in-flight table, and `done`
-// fires at the virtual time the read completes — so concurrent clients
-// genuinely overlap on the timeline. Every strategy runs on an attached
-// loop; `read(key)` is a thin wrapper that steps that loop until one read
+// A strategy turns `start_read(id, done)` into a core::ReadPlan and hands
+// it to `start_plan`, the one read path every system shares. The path runs
+// on object ids (store::ObjectTable) and ChunkRefs end to end — plan,
+// cache, in-flight table, collab routing — and never touches a key
+// string. Chunk fetches begin on the network (which enforces per-region
+// concurrency limits), duplicate fetches coalesce in the strategy's
+// in-flight table, and `done` fires at the virtual time the read completes
+// — so concurrent clients genuinely overlap on the timeline. Every strategy runs on an attached
+// loop; `read(id)` is a thin wrapper that steps that loop until one read
 // completes (the daemon and tests use it).
 #pragma once
 
@@ -90,15 +92,21 @@ class ReadStrategy {
   explicit ReadStrategy(ClientContext ctx);
   virtual ~ReadStrategy() = default;
 
-  /// Start one asynchronous read. The strategy issues its chunk fetches as
-  /// events and invokes `done` exactly once when the read completes.
-  virtual void start_read(const ObjectKey& key, ReadCallback done) = 0;
+  /// Start one asynchronous read of object `id` (an id of the backend's
+  /// object table). The strategy issues its chunk fetches as events and
+  /// invokes `done` exactly once when the read completes.
+  virtual void start_read(ObjectId id, ReadCallback done) = 0;
 
   /// Thin synchronous wrapper: starts the read and steps the attached loop
   /// until it completes; other events (timers, populations, other clients'
   /// fetches) interleave as they would in a real run. Throws
   /// std::logic_error when no loop is attached.
-  [[nodiscard]] ReadResult read(const ObjectKey& key);
+  [[nodiscard]] ReadResult read(ObjectId id);
+  /// Key-string adapter (tests, examples): resolves the key through the
+  /// backend's object table (std::out_of_range if unknown).
+  [[nodiscard]] ReadResult read(const ObjectKey& key) {
+    return read(ctx_.backend->objects().id_of(key));
+  }
 
   /// Hook for periodic work (Agar reconfigurations) on the sim loop. The
   /// base records the loop in the context so reads become events on it.
@@ -127,7 +135,7 @@ class ReadStrategy {
   /// Peer-fetch routing: picks the region a wire fetch should actually go
   /// to (the chunk's home region when no peer cache is cheaper).
   using CollabRoute =
-      std::function<RegionId(const ChunkId&, RegionId home, std::size_t)>;
+      std::function<RegionId(const ChunkRef&, RegionId home, std::size_t)>;
   /// Completion accounting for the tier: (target, home, bytes, success).
   using CollabDone =
       std::function<void(RegionId, RegionId, std::size_t, bool)>;
@@ -193,7 +201,7 @@ class ReadStrategy {
   /// plan's monitor/proxy overhead are charged after the last arrival. Off
   /// the latency path, each `populate_after_read` chunk not already
   /// resident is written back and each `async_populate` chunk downloaded.
-  void start_plan(const ObjectKey& key, const Candidates& candidates,
+  void start_plan(ObjectId id, const Candidates& candidates,
                   core::ReadPlan plan, cache::CacheEngine* cache,
                   ReadCallback done);
 
@@ -201,7 +209,7 @@ class ReadStrategy {
   /// implies downloading them a priori"): fetch one chunk from its backend
   /// region through the coalescing table and install it in the cache when
   /// the transfer lands. Off the latency path. No-op if already resident.
-  void populate_chunk_async(const ObjectKey& key, ChunkIndex index,
+  void populate_chunk_async(ObjectId id, ChunkIndex index,
                             cache::CacheEngine& cache);
 
   ClientContext ctx_;
@@ -212,8 +220,7 @@ class ReadStrategy {
  private:
   /// Payload to install for a populated chunk (in verify mode, a shared
   /// handle to the backend's buffer — no copy).
-  [[nodiscard]] SharedBytes population_payload(const ObjectKey& key,
-                                               ChunkIndex index,
+  [[nodiscard]] SharedBytes population_payload(const ChunkRef& chunk,
                                                std::size_t chunk_size) const;
 
   /// Verify-mode check of one read's assembled chunks (from the backend
@@ -222,7 +229,7 @@ class ReadStrategy {
   /// byte against the object's write-time data chunks
   /// (BackendCluster::written), skipping only a view that is the reference
   /// allocation itself. Allocates nothing per read once warm.
-  [[nodiscard]] bool verify_payload(const ObjectKey& key,
+  [[nodiscard]] bool verify_payload(ObjectId id,
                                     const std::vector<ec::Chunk>& chunks);
 
   /// Memoized zero buffer for latency-only cache populations: every

@@ -78,8 +78,10 @@ Workload::Workload(WorkloadSpec spec, std::size_t universe,
   for (std::size_t i = 0; i < universe; ++i) permutation_[i] = i;
 }
 
-ObjectKey Workload::next_key() {
-  return prefix_ + std::to_string(permutation_[generator_->next_index(rng_)]);
+Workload::Workload(WorkloadSpec spec, std::span<const ObjectId> ids,
+                   std::uint64_t seed)
+    : Workload(spec, ids.size(), seed) {
+  ids_ = ids;
 }
 
 void Workload::apply(const scenario::PopularityShift& shift) {

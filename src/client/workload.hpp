@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -87,10 +88,11 @@ struct WorkloadSpec {
                                                  std::size_t region_index,
                                                  std::size_t client);
 
-/// A stream of object keys: maps generator ranks onto key names through a
+/// A stream of objects: maps generator ranks onto objects through a
 /// mutable rank->object permutation. Rank 0 is the most popular object;
-/// initially rank r maps to object r. Keys follow the backend's naming
-/// scheme ("<prefix><i>").
+/// initially rank r maps to object r. A workload built over the working
+/// set's ids hands out ids (next_id); keys follow the backend's naming
+/// scheme ("<prefix><i>", next_key) for tools that speak strings.
 ///
 /// The permutation is what makes the workload non-stationary: scenario
 /// popularity shifts rewrite which objects occupy the hot ranks mid-run
@@ -99,8 +101,17 @@ class Workload {
  public:
   Workload(WorkloadSpec spec, std::size_t universe, std::uint64_t seed,
            std::string prefix = "object");
+  /// Over the working set `ids` (object index i is ids[i]; the span must
+  /// outlive the workload): next_id() hands out ids.
+  Workload(WorkloadSpec spec, std::span<const ObjectId> ids,
+           std::uint64_t seed);
 
-  [[nodiscard]] ObjectKey next_key();
+  /// The next object's id (requires the ids constructor).
+  [[nodiscard]] ObjectId next_id() { return ids_[next_object()]; }
+  /// The next object's key, "<prefix><index>".
+  [[nodiscard]] ObjectKey next_key() {
+    return prefix_ + std::to_string(next_object());
+  }
   [[nodiscard]] const WorkloadSpec& spec() const { return spec_; }
 
   /// Apply one scripted popularity shift to the rank->object mapping:
@@ -116,10 +127,16 @@ class Workload {
   }
 
  private:
+  /// Index of the next object read.
+  [[nodiscard]] std::size_t next_object() {
+    return permutation_[generator_->next_index(rng_)];
+  }
+
   WorkloadSpec spec_;
   std::unique_ptr<KeyGenerator> generator_;
   Rng rng_;
   std::string prefix_;
+  std::span<const ObjectId> ids_;  ///< object index -> id (ids ctor only)
   std::vector<std::size_t> permutation_;  ///< rank -> object index
 };
 

@@ -1,7 +1,7 @@
 #include "collab/collab.hpp"
 
 #include <algorithm>
-#include <map>
+#include <bit>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -25,15 +25,22 @@ double percentile_ms(std::vector<SimTimeMs> values, double q) {
 
 }  // namespace
 
+std::size_t PeerInfo::configured_chunks() const {
+  std::size_t n = 0;
+  for (const ChunkMask mask : configured) {
+    n += static_cast<std::size_t>(std::popcount(mask));
+  }
+  return n;
+}
+
 std::vector<core::ChunkCost> peer_aware_costs(
-    std::vector<core::ChunkCost> costs, const ObjectKey& key,
+    std::vector<core::ChunkCost> costs, ObjectId id,
     const std::vector<PeerInfo>& peers, const sim::Topology& topology,
     RegionId client_region, double peer_cache_factor, double max_peer_ms) {
   for (auto& cost : costs) {
-    const std::string ck = ChunkId{key, cost.index}.cache_key();
     for (const auto& peer : peers) {
       if (peer.region == client_region) continue;
-      if (!peer.configured_chunks.contains(ck)) continue;
+      if (!peer.configures(id, cost.index)) continue;
       const double base = topology.base_latency_ms(client_region, peer.region);
       if (base > max_peer_ms) continue;
       cost.latency_ms = std::min(cost.latency_ms, base * peer_cache_factor);
@@ -44,10 +51,12 @@ std::vector<core::ChunkCost> peer_aware_costs(
 
 OverlapReport overlap_of(const PeerInfo& a, const PeerInfo& b) {
   OverlapReport report;
-  report.chunks_a = a.configured_chunks.size();
-  report.chunks_b = b.configured_chunks.size();
-  for (const auto& ck : a.configured_chunks) {
-    if (b.configured_chunks.contains(ck)) ++report.shared;
+  report.chunks_a = a.configured_chunks();
+  report.chunks_b = b.configured_chunks();
+  const std::size_t ids = std::min(a.configured.size(), b.configured.size());
+  for (std::size_t id = 0; id < ids; ++id) {
+    report.shared += static_cast<std::size_t>(
+        std::popcount(a.configured[id] & b.configured[id]));
   }
   return report;
 }
@@ -55,17 +64,19 @@ OverlapReport overlap_of(const PeerInfo& a, const PeerInfo& b) {
 CollabRuntime::CollabRuntime(CollabSettings settings,
                              sim::ShardedEngine* engine,
                              const sim::Topology* topology,
+                             const store::ObjectTable* objects,
                              std::vector<RegionId> lane_regions,
                              std::vector<sim::Network*> lane_networks)
     : settings_(settings),
       engine_(engine),
       topology_(topology),
+      objects_(objects),
       lane_regions_(std::move(lane_regions)),
       lane_networks_(std::move(lane_networks)),
       log_(topology->num_regions(), lane_networks_.at(0)),
       lanes_(lane_regions_.size()) {
-  if (engine_ == nullptr) {
-    throw std::invalid_argument("CollabRuntime: null engine");
+  if (engine_ == nullptr || objects_ == nullptr) {
+    throw std::invalid_argument("CollabRuntime: null engine/object table");
   }
   if (lane_regions_.empty() ||
       lane_regions_.size() != lane_networks_.size()) {
@@ -91,7 +102,7 @@ SimTimeMs CollabRuntime::message_delay_ms(RegionId from, RegionId to) const {
 
 void CollabRuntime::attach(std::size_t lane, client::ReadStrategy& strategy) {
   strategy.enable_collab(
-      [this, lane](const ChunkId& chunk, RegionId home, std::size_t bytes) {
+      [this, lane](const ChunkRef& chunk, RegionId home, std::size_t bytes) {
         return route(lane, chunk, home, bytes);
       },
       [this, lane](RegionId target, RegionId home, std::size_t bytes,
@@ -99,13 +110,12 @@ void CollabRuntime::attach(std::size_t lane, client::ReadStrategy& strategy) {
   strategy.set_reconfigure_observer([this, lane] { on_reconfigure(lane); });
 
   core::CollabPlannerHooks hooks;
-  hooks.merge_popularity =
-      [this, lane](std::vector<std::pair<ObjectKey, double>> local) {
-        return merge_popularity(lane, std::move(local));
-      };
+  hooks.merge_popularity = [this, lane](core::PopularitySnapshot local) {
+    return merge_popularity(lane, std::move(local));
+  };
   hooks.adjust_chunk_costs = [this, lane](std::vector<core::ChunkCost> costs,
-                                          const ObjectKey& key) {
-    return adjust_costs(lane, std::move(costs), key);
+                                          ObjectId id) {
+    return adjust_costs(lane, std::move(costs), id);
   };
   strategy.set_collab_hooks(hooks);
 
@@ -116,12 +126,11 @@ void CollabRuntime::attach(std::size_t lane, client::ReadStrategy& strategy) {
       });
 }
 
-RegionId CollabRuntime::route(std::size_t lane, const ChunkId& chunk,
+RegionId CollabRuntime::route(std::size_t lane, const ChunkRef& chunk,
                               RegionId home, std::size_t bytes) {
   LaneState& st = lanes_[lane];
   const RegionId self = lane_regions_[lane];
   sim::Network& net = *lane_networks_[lane];
-  const std::string chunk_key = chunk.cache_key();
   const SimTimeMs home_ms =
       net.model().expected_backend_fetch_ms(self, home, bytes);
 
@@ -140,7 +149,7 @@ RegionId CollabRuntime::route(std::size_t lane, const ChunkId& chunk,
     if (info.region == kInvalidRegion) continue;        // nothing heard yet
     if (!connected(lane, self, peer)) continue;         // across the cut
     if (net.is_down(peer)) continue;                    // outage: fail fast
-    if (!info.configured_chunks.contains(chunk_key)) continue;
+    if (!info.configures(chunk.object, chunk.index)) continue;
     if (net.model().expected_backend_fetch_ms(self, peer, bytes) >= home_ms) {
       continue;  // peer no cheaper than the home region
     }
@@ -283,25 +292,39 @@ std::vector<PeerInfo> CollabRuntime::visible_peers(
   return peers;
 }
 
-std::vector<std::pair<ObjectKey, double>> CollabRuntime::merge_popularity(
-    std::size_t lane, std::vector<std::pair<ObjectKey, double>> local) {
+core::PopularitySnapshot CollabRuntime::merge_popularity(
+    std::size_t lane, core::PopularitySnapshot local) {
   // Called once per reconfiguration, before the per-key cost hook: rebuild
   // the planning peer set here so adjust_costs() reuses it per key instead
   // of re-copying the directory for every object.
   lanes_[lane].planning_peers = visible_peers(lane);
   // Key-sorted merge preserving the monitor snapshot's determinism
-  // contract; peer weights are summed in lane order.
-  std::map<ObjectKey, double> merged(local.begin(), local.end());
+  // contract: each key's weight is the local one, then the peers' summed
+  // in lane order.
+  std::vector<double> merged(objects_->size(), 0.0);
+  std::vector<bool> present(objects_->size(), false);
+  core::PopularitySnapshot out;
+  const auto add = [&](ObjectId id, double weight) {
+    if (!present[id]) {
+      present[id] = true;
+      out.emplace_back(id, 0.0);
+    }
+    merged[id] += weight;
+  };
+  for (const auto& [id, weight] : local) add(id, weight);
   for (const PeerInfo& peer : lanes_[lane].planning_peers) {
-    for (const auto& [key, weight] : peer.popularity) merged[key] += weight;
+    for (const auto& [id, weight] : peer.popularity) add(id, weight);
   }
-  return {merged.begin(), merged.end()};
+  std::sort(out.begin(), out.end(), [this](const auto& a, const auto& b) {
+    return objects_->key_less(a.first, b.first);
+  });
+  for (auto& [id, weight] : out) weight = merged[id];
+  return out;
 }
 
 std::vector<core::ChunkCost> CollabRuntime::adjust_costs(
-    std::size_t lane, std::vector<core::ChunkCost> costs,
-    const ObjectKey& key) const {
-  return peer_aware_costs(std::move(costs), key, lanes_[lane].planning_peers,
+    std::size_t lane, std::vector<core::ChunkCost> costs, ObjectId id) const {
+  return peer_aware_costs(std::move(costs), id, lanes_[lane].planning_peers,
                           *topology_, lane_regions_[lane], 0.75,
                           settings_.peer_threshold_ms);
 }

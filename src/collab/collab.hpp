@@ -35,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -43,10 +42,12 @@
 
 #include "common/types.hpp"
 #include "core/option_generator.hpp"
+#include "core/popularity_estimator.hpp"
 #include "paxos/replicated_log.hpp"
 #include "sim/network.hpp"
 #include "sim/sharded_engine.hpp"
 #include "sim/topology.hpp"
+#include "store/object_table.hpp"
 
 namespace agar::client {
 class ReadStrategy;
@@ -54,13 +55,19 @@ class ReadStrategy;
 
 namespace agar::collab {
 
-/// What one cache broadcasts. The configured-chunk set is ordered: peer
-/// directories feed merged planning snapshots and the overlap report, so
-/// broadcast state must not carry hash-map iteration order.
+/// What one cache broadcasts: its configured chunks as one mask per object
+/// id (CacheConfiguration::masks) and its popularity snapshot (key-string
+/// ordered, like every snapshot). Every lane reads the one backend, so an
+/// id names the same object in every region.
 struct PeerInfo {
   RegionId region = kInvalidRegion;
-  std::set<std::string> configured_chunks;  // chunk cache keys, sorted
-  std::vector<std::pair<ObjectKey, double>> popularity;
+  std::vector<ChunkMask> configured;  // by ObjectId; past the end: none
+  core::PopularitySnapshot popularity;
+
+  [[nodiscard]] bool configures(ObjectId id, ChunkIndex index) const {
+    return id < configured.size() && ((configured[id] >> index) & 1U) != 0;
+  }
+  [[nodiscard]] std::size_t configured_chunks() const;
 };
 
 /// Adjust chunk costs with peer caches: if a peer within `max_peer_ms` of
@@ -69,7 +76,7 @@ struct PeerInfo {
 /// is the inter-region base latency scaled by `peer_cache_factor`
 /// (< 1: a memcached hit is cheaper than an S3 GET over the same distance).
 [[nodiscard]] std::vector<core::ChunkCost> peer_aware_costs(
-    std::vector<core::ChunkCost> costs, const ObjectKey& key,
+    std::vector<core::ChunkCost> costs, ObjectId id,
     const std::vector<PeerInfo>& peers, const sim::Topology& topology,
     RegionId client_region, double peer_cache_factor = 0.75,
     double max_peer_ms = 400.0);
@@ -155,6 +162,7 @@ class CollabRuntime {
   /// are non-owning and must outlive the runtime.
   CollabRuntime(CollabSettings settings, sim::ShardedEngine* engine,
                 const sim::Topology* topology,
+                const store::ObjectTable* objects,
                 std::vector<RegionId> lane_regions,
                 std::vector<sim::Network*> lane_networks);
 
@@ -211,7 +219,7 @@ class CollabRuntime {
   [[nodiscard]] SimTimeMs message_delay_ms(RegionId from, RegionId to) const;
   /// Nearest eligible peer cache for a chunk bound for `home`, or `home`
   /// itself when no peer is cheaper (the routing decision of peer-fetch).
-  [[nodiscard]] RegionId route(std::size_t lane, const ChunkId& chunk,
+  [[nodiscard]] RegionId route(std::size_t lane, const ChunkRef& chunk,
                                RegionId home, std::size_t bytes);
   void fetch_done(std::size_t lane, RegionId target, RegionId home,
                   std::size_t bytes, bool ok);
@@ -226,15 +234,16 @@ class CollabRuntime {
   void learn(std::size_t lane, std::uint64_t epoch);
   [[nodiscard]] std::vector<PeerInfo> visible_peers(
       std::size_t lane) const;
-  std::vector<std::pair<ObjectKey, double>> merge_popularity(
-      std::size_t lane, std::vector<std::pair<ObjectKey, double>> local);
+  core::PopularitySnapshot merge_popularity(std::size_t lane,
+                                           core::PopularitySnapshot local);
   std::vector<core::ChunkCost> adjust_costs(std::size_t lane,
                                             std::vector<core::ChunkCost> costs,
-                                            const ObjectKey& key) const;
+                                            ObjectId id) const;
 
   CollabSettings settings_;
   sim::ShardedEngine* engine_;      // non-owning
   const sim::Topology* topology_;   // non-owning
+  const store::ObjectTable* objects_;  // non-owning
   std::vector<RegionId> lane_regions_;
   std::vector<sim::Network*> lane_networks_;  // non-owning
   std::vector<std::size_t> lane_of_region_;   // region -> lane, or npos

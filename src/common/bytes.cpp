@@ -30,12 +30,27 @@ Bytes deterministic_payload(const std::string& key, std::size_t size) {
 }
 
 std::uint64_t fnv1a(BytesView data) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  return fnv1a_extend(0xcbf29ce484222325ULL, data);
+}
+
+std::uint64_t fnv1a_extend(std::uint64_t state, BytesView data) {
   for (const std::uint8_t b : data) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
+    state ^= b;
+    state *= 0x100000001b3ULL;
   }
-  return h;
+  return state;
+}
+
+std::uint64_t chunk_key_hash(std::uint64_t key_hash, std::uint32_t index) {
+  // "#" then the decimal index, as ChunkId::cache_key() spells it.
+  std::uint8_t buf[11];
+  std::size_t n = sizeof(buf);
+  do {
+    buf[--n] = static_cast<std::uint8_t>('0' + index % 10);
+    index /= 10;
+  } while (index != 0);
+  buf[--n] = '#';
+  return fnv1a_extend(key_hash, BytesView(buf + n, sizeof(buf) - n));
 }
 
 std::uint64_t fnv1a(const std::string& s) {

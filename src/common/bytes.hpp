@@ -28,6 +28,12 @@ Bytes deterministic_payload(const std::string& key, std::size_t size);
 std::uint64_t fnv1a(BytesView data);
 std::uint64_t fnv1a(const std::string& s);
 
+/// FNV-1a is a streaming hash: `fnv1a_extend(fnv1a(a), b) == fnv1a(a + b)`.
+/// The hash of a chunk's cache key ("<key>#<index>") therefore continues
+/// from its object key's hash without building the string.
+std::uint64_t fnv1a_extend(std::uint64_t state, BytesView data);
+std::uint64_t chunk_key_hash(std::uint64_t key_hash, std::uint32_t index);
+
 /// Render a byte count human-readably ("10.0 MB"); used by reports.
 std::string format_bytes(std::size_t n);
 

@@ -2,10 +2,11 @@
 //
 // The simulator and the Agar managers emit structured progress lines; tests
 // and benchmarks keep the level at kWarn so output stays clean. This is a
-// tiny, allocation-light logger — not a general logging framework.
+// tiny, allocation-light logger — not a general logging framework: a
+// disabled line costs one relaxed atomic load and builds nothing.
 #pragma once
 
-#include <iostream>
+#include <optional>
 #include <sstream>
 #include <string_view>
 
@@ -13,9 +14,10 @@ namespace agar {
 
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
-/// Global log level; defaults to kWarn. Not thread-safe by design: the
-/// reproduction is a single-threaded discrete-event simulation and tests set
-/// the level once up front.
+/// Global log level; defaults to kWarn. Safe to read and set from any
+/// thread (shard workers and the daemon's threads log): the level is a
+/// relaxed atomic, and each enabled line reaches stderr in one write, so
+/// lines logged concurrently never interleave.
 LogLevel log_level();
 void set_log_level(LogLevel level);
 
@@ -31,13 +33,13 @@ class LogLine {
 
   template <typename T>
   LogLine& operator<<(const T& v) {
-    if (enabled_) stream_ << v;
+    if (stream_.has_value()) *stream_ << v;
     return *this;
   }
 
  private:
-  bool enabled_;
-  std::ostringstream stream_;
+  /// Engaged only for an enabled line.
+  std::optional<std::ostringstream> stream_;
 };
 
 }  // namespace detail

@@ -23,6 +23,13 @@ inline constexpr RegionId kInvalidRegion = static_cast<RegionId>(-1);
 /// Key identifying a stored object (YCSB-style, e.g. "user4953").
 using ObjectKey = std::string;
 
+/// Dense id of an object, assigned by store::ObjectTable when the backend
+/// first registers or writes the key (0, 1, 2, ... in registration order)
+/// and stable for the table's lifetime: rewriting a key keeps its id. The
+/// read path and the control plane name objects by id; key strings live
+/// only at the edges (spec, daemon, JSON and reports, collab broadcasts).
+using ObjectId = std::uint32_t;
+
 /// Simulated time in milliseconds. The discrete-event simulator and every
 /// latency figure in the reproduction use this unit (the paper reports
 /// latencies in ms).
@@ -32,7 +39,32 @@ using SimTimeMs = double;
 /// [0, k), parity chunks occupy [k, k+m).
 using ChunkIndex = std::uint32_t;
 
-/// Identifies one chunk of one object.
+/// One bit per stripe position: bit i set = chunk i. A configuration holds
+/// one mask per object, so a stripe has at most kMaxStripeChunks chunks.
+using ChunkMask = std::uint64_t;
+inline constexpr std::size_t kMaxStripeChunks = 64;
+
+/// One chunk of one interned object, as the hot path names it: the
+/// (object id, chunk index) pair, plus the FNV-1a hash of the chunk's
+/// canonical cache-key string (`ChunkId::cache_key()`), so hashing policies
+/// (TinyLFU's sketch) decide exactly as they would on the string. Identity
+/// is (object, index) alone; `packed()` is the id-keyed containers' key.
+/// Build one with store::ObjectTable::chunk, which fills in the hash.
+struct ChunkRef {
+  ObjectId object = 0;
+  ChunkIndex index = 0;
+  std::uint64_t hash = 0;
+
+  [[nodiscard]] constexpr std::uint64_t packed() const {
+    return (static_cast<std::uint64_t>(object) << 32) | index;
+  }
+  [[nodiscard]] constexpr bool operator==(const ChunkRef& o) const {
+    return object == o.object && index == o.index;
+  }
+};
+
+/// Identifies one chunk of one object by key string: the edge form of a
+/// ChunkRef (tests, tools and the string-keyed adapters).
 struct ChunkId {
   ObjectKey key;
   ChunkIndex index = 0;
@@ -55,6 +87,13 @@ inline constexpr std::size_t operator""_MB(unsigned long long v) {
 }
 
 }  // namespace agar
+
+template <>
+struct std::hash<agar::ChunkRef> {
+  std::size_t operator()(const agar::ChunkRef& c) const noexcept {
+    return std::hash<std::uint64_t>{}(c.packed());
+  }
+};
 
 template <>
 struct std::hash<agar::ChunkId> {

@@ -6,6 +6,13 @@ namespace agar::core {
 
 namespace {
 
+const store::ObjectTable* objects_of(const store::BackendCluster* backend) {
+  if (backend == nullptr) {
+    throw std::invalid_argument("AgarNode: null backend");
+  }
+  return &backend->objects();
+}
+
 RegionManagerParams make_region_manager_params(const AgarNodeParams& p) {
   RegionManagerParams out;
   out.local_region = p.region;
@@ -20,9 +27,9 @@ AgarNode::AgarNode(const store::BackendCluster* backend, sim::Network* network,
     : backend_(backend),
       network_(network),
       params_(params),
-      cache_(params.cache_capacity_bytes),
+      cache_(params.cache_capacity_bytes, objects_of(backend)),
       region_manager_(backend, network, make_region_manager_params(params)),
-      request_monitor_(params.monitor),
+      request_monitor_(params.monitor, objects_of(backend)),
       cache_manager_(backend, &region_manager_, &request_monitor_, &cache_,
                      params.cache_manager) {}
 
@@ -44,15 +51,11 @@ void AgarNode::attach_to_loop(sim::EventLoop& loop,
       });
 }
 
-ReadPlan AgarNode::plan_read(const ObjectKey& key) {
-  const double overhead = request_monitor_.record_access(key);
-  const auto& config = cache_manager_.current();
-  ReadPlan plan = plan_chunk_sources(
-      *backend_, region_manager_, cache_,
-      [&config](const ObjectKey& k, ChunkIndex idx) {
-        return config.contains_chunk(k, idx);
-      },
-      key);
+ReadPlan AgarNode::plan_read(ObjectId id) {
+  const double overhead = request_monitor_.record_access(id);
+  ReadPlan plan =
+      plan_chunk_sources(*backend_, region_manager_, cache_,
+                         cache_manager_.current().mask_of(id), id);
   plan.monitor_overhead_ms = overhead;
   return plan;
 }

@@ -2,9 +2,10 @@
 // plus the region manager, request monitor and cache manager, wired
 // together. Clients in the region talk only to this facade:
 //
-//   * plan_read(key) — the "hint" protocol: records the access with the
+//   * plan_read(id) — the "hint" protocol: records the access with the
 //     request monitor and resolves every chunk of the object to a source
-//     (local cache / backend region / asynchronous population fetch);
+//     (local cache / backend region / asynchronous population fetch), all
+//     on object ids: one configuration-mask load, residency by ChunkRef;
 //   * the node reconfigures itself periodically when attached to the
 //     simulation's event loop (30 s in the paper's experiments).
 #pragma once
@@ -51,7 +52,7 @@ class AgarNode {
                       std::function<void()> after_reconfigure = {});
 
   /// Resolve one read. Records the access in the request monitor.
-  [[nodiscard]] ReadPlan plan_read(const ObjectKey& key);
+  [[nodiscard]] ReadPlan plan_read(ObjectId id);
 
   [[nodiscard]] cache::StaticConfigCache& cache() { return cache_; }
   [[nodiscard]] const cache::StaticConfigCache& cache() const {

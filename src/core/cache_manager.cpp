@@ -1,6 +1,7 @@
 #include "core/cache_manager.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -14,9 +15,7 @@ namespace agar::core {
 bool CacheConfiguration::contains_chunk(const ObjectKey& key,
                                         ChunkIndex index) const {
   const auto it = entries.find(key);
-  if (it == entries.end()) return false;
-  const auto& chunks = it->second.chunks;
-  return std::find(chunks.begin(), chunks.end(), index) != chunks.end();
+  return it != entries.end() && contains_chunk(it->second.object, index);
 }
 
 std::map<std::size_t, std::size_t> CacheConfiguration::weight_histogram()
@@ -62,45 +61,55 @@ CacheManager::CacheManager(const store::BackendCluster* backend,
       params_.planner, api::PlannerContext{}, params_.planner_params);
 }
 
-std::size_t CacheManager::weight_quantum_bytes() const {
+std::size_t CacheManager::quantum_of(
+    const PopularitySnapshot& snapshot) const {
   // Quantum: the smallest chunk size among tracked objects, so every
   // option's byte footprint maps to an integer number of units. With the
   // paper's uniform 1 MB objects this is exactly one chunk.
   std::size_t quantum = std::numeric_limits<std::size_t>::max();
-  for (const auto& [key, pop] : request_monitor_->snapshot()) {
-    if (!backend_->has_object(key)) continue;
-    quantum = std::min(quantum, backend_->object_info(key).chunk_size);
+  for (const auto& [id, pop] : snapshot) {
+    quantum = std::min(quantum, backend_->chunk_size(id));
   }
   if (quantum == std::numeric_limits<std::size_t>::max()) quantum = 1;
   return std::max<std::size_t>(quantum, 1);
 }
 
+std::size_t CacheManager::weight_quantum_bytes() const {
+  return quantum_of(request_monitor_->snapshot());
+}
+
 std::vector<std::vector<CachingOption>> CacheManager::generate_options()
     const {
-  const std::size_t quantum = weight_quantum_bytes();
+  auto snapshot = request_monitor_->snapshot();
+  const std::size_t quantum = quantum_of(snapshot);
+  return options_for(std::move(snapshot), quantum);
+}
 
+std::vector<std::vector<CachingOption>> CacheManager::options_for(
+    PopularitySnapshot snapshot, std::size_t quantum) const {
   // The snapshot is sorted by key (the estimator contract), so the option
   // groups — and thus the planner's input — are deterministic. At global
   // scope the collab tier merges the peers' broadcast snapshots in (still
   // key-sorted) and folds peer cache placements into each key's chunk
   // costs, turning the per-region knapsack into one global optimization.
-  auto snapshot = request_monitor_->snapshot();
   if (collab_hooks_.merge_popularity) {
     snapshot = collab_hooks_.merge_popularity(std::move(snapshot));
   }
+  const store::ObjectTable& objects = backend_->objects();
 
   std::vector<std::vector<CachingOption>> groups;
   groups.reserve(snapshot.size());
-  for (const auto& [key, popularity] : snapshot) {
+  for (const auto& [id, popularity] : snapshot) {
     if (popularity <= 0.0) continue;
-    if (!backend_->has_object(key)) continue;
-    auto costs = region_manager_->chunk_costs(key);
+    auto costs = region_manager_->chunk_costs(id);
     if (collab_hooks_.adjust_chunk_costs) {
-      costs = collab_hooks_.adjust_chunk_costs(std::move(costs), key);
+      costs = collab_hooks_.adjust_chunk_costs(std::move(costs), id);
     }
-    auto options = generator_.generate(key, costs, popularity);
-    const std::size_t chunk_bytes = backend_->object_info(key).chunk_size;
+    auto options = generator_.generate(objects.key_of(id), std::move(costs),
+                                       popularity);
+    const std::size_t chunk_bytes = backend_->chunk_size(id);
     for (auto& opt : options) {
+      opt.object = id;
       const double bytes =
           static_cast<double>(opt.weight) * static_cast<double>(chunk_bytes);
       opt.weight_units = static_cast<std::size_t>(
@@ -118,10 +127,12 @@ const CacheConfiguration& CacheManager::reconfigure() {
   // statistics gathered over the last interval).
   request_monitor_->roll_period();
 
-  const std::size_t quantum = weight_quantum_bytes();
+  // One snapshot serves the quantum and the option groups.
+  auto snapshot = request_monitor_->snapshot();
+  const std::size_t quantum = quantum_of(snapshot);
   const std::size_t capacity_units = cache_->capacity_bytes() / quantum;
 
-  const auto groups = generate_options();
+  const auto groups = options_for(std::move(snapshot), quantum);
   const auto plan_start = std::chrono::steady_clock::now();
   KnapsackResult result = planner_->plan(groups, capacity_units);
   const double plan_ms =
@@ -129,29 +140,34 @@ const CacheConfiguration& CacheManager::reconfigure() {
           std::chrono::steady_clock::now() - plan_start)
           .count();
 
+  // In key order, `entries` fills by appending: no tree search per key.
+  const store::ObjectTable& objects = backend_->objects();
+  std::sort(result.chosen.begin(), result.chosen.end(),
+            [&objects](const CachingOption& a, const CachingOption& b) {
+              return objects.key_less(a.object, b.object);
+            });
   CacheConfiguration next;
-  std::set<std::string> configured_keys;
+  next.masks.assign(backend_->num_objects(), 0);
   for (auto& opt : result.chosen) {
-    const std::size_t chunk_bytes =
-        backend_->object_info(opt.key).chunk_size;
     next.total_chunks += opt.weight;
-    next.total_bytes += opt.weight * chunk_bytes;
+    next.total_bytes += opt.weight * backend_->chunk_size(opt.object);
     for (const ChunkIndex idx : opt.chunks) {
-      configured_keys.insert(ChunkId{opt.key, idx}.cache_key());
+      next.masks[opt.object] |= ChunkMask{1} << idx;
     }
-    next.entries.emplace(opt.key, std::move(opt));
+    next.entries.emplace_hint(next.entries.end(), opt.key, std::move(opt));
   }
   next.total_value = result.total_value;
 
   // Configuration churn relative to the previous installation: chunks the
   // new plan adds (a-priori downloads ahead) and chunks it drops.
   std::uint64_t installed = 0;
-  for (const auto& key : configured_keys) {
-    if (installed_chunk_keys_.count(key) == 0) ++installed;
-  }
   std::uint64_t evicted = 0;
-  for (const auto& key : installed_chunk_keys_) {
-    if (configured_keys.count(key) == 0) ++evicted;
+  const std::size_t ids = std::max(next.masks.size(), config_.masks.size());
+  for (std::size_t id = 0; id < ids; ++id) {
+    const ChunkMask now = next.mask_of(static_cast<ObjectId>(id));
+    const ChunkMask before = config_.mask_of(static_cast<ObjectId>(id));
+    installed += static_cast<std::uint64_t>(std::popcount(now & ~before));
+    evicted += static_cast<std::uint64_t>(std::popcount(before & ~now));
   }
   stats_.reconfigurations = reconfigs_;
   stats_.planning_ms += plan_ms;
@@ -159,11 +175,7 @@ const CacheConfiguration& CacheManager::reconfigure() {
   stats_.chunks_evicted += evicted;
 
   config_ = std::move(next);
-  // The cache's admission set stays a hash set (contains() on the read
-  // path); the ordered master copy lives here for the churn sweep.
-  cache_->install_configuration(
-      {configured_keys.begin(), configured_keys.end()});
-  installed_chunk_keys_ = std::move(configured_keys);
+  cache_->install_configuration(config_.masks);
 
   log_info("cache-manager") << "reconfiguration #" << reconfigs_ << " ("
                             << planner_->name() << ", " << plan_ms

@@ -13,7 +13,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -47,25 +46,32 @@ struct CacheManagerParams {
 /// key's chunk costs are adjusted with peer placements
 /// (collab::peer_aware_costs). Both empty by default: planning stays local.
 struct CollabPlannerHooks {
-  std::function<std::vector<std::pair<ObjectKey, double>>(
-      std::vector<std::pair<ObjectKey, double>>)>
-      merge_popularity;
-  std::function<std::vector<ChunkCost>(std::vector<ChunkCost>,
-                                       const ObjectKey&)>
+  std::function<PopularitySnapshot(PopularitySnapshot)> merge_popularity;
+  std::function<std::vector<ChunkCost>(std::vector<ChunkCost>, ObjectId)>
       adjust_chunk_costs;
 };
 
-/// The installed configuration, per object, for inspection (Fig. 10).
-/// Key-ordered: population fetches, broadcast snapshots and the Fig. 10
-/// histogram all iterate it, and each of those orders ends up in event
-/// sequence numbers or output.
+/// The installed configuration, in two forms. `masks` is what the read
+/// path consults: one chunk bitmask per object, indexed by ObjectId.
+/// `entries` is the key-ordered form for inspection (Fig. 10): population
+/// fetches and the Fig. 10 histogram iterate it, and each of those orders
+/// ends up in event sequence numbers or output.
 struct CacheConfiguration {
   /// Chosen option per key, sorted by key.
   std::map<ObjectKey, CachingOption> entries;
+  /// Configured chunks per object id; ids past the end have none.
+  std::vector<ChunkMask> masks;
   double total_value = 0.0;
   std::size_t total_chunks = 0;
   std::size_t total_bytes = 0;
 
+  [[nodiscard]] ChunkMask mask_of(ObjectId id) const {
+    return id < masks.size() ? masks[id] : 0;
+  }
+  [[nodiscard]] bool contains_chunk(ObjectId id, ChunkIndex index) const {
+    return ((mask_of(id) >> index) & 1U) != 0;
+  }
+  /// Key-string adapter: resolves the key through `entries`.
   [[nodiscard]] bool contains_chunk(const ObjectKey& key,
                                     ChunkIndex index) const;
 
@@ -101,14 +107,23 @@ class CacheManager {
 
   /// Generate options for every tracked key, grouped per key in key-sorted
   /// order — the monitor snapshot's determinism contract carries through to
-  /// the planner input (exposed for tests/benches).
+  /// the planner input (exposed for tests/benches; reconfigure() builds the
+  /// same groups from its one snapshot).
   [[nodiscard]] std::vector<std::vector<CachingOption>> generate_options()
       const;
 
-  /// Capacity in quantized units and the quantum, given current tracking.
+  /// The quantum of the knapsack's capacity units, given current tracking.
   [[nodiscard]] std::size_t weight_quantum_bytes() const;
 
  private:
+  /// Quantum: the smallest chunk size among the snapshot's objects.
+  [[nodiscard]] std::size_t quantum_of(const PopularitySnapshot& snapshot) const;
+  /// The planner input for `snapshot`: at global scope the collab tier
+  /// merges the peers' snapshots in first (the quantum stays the local
+  /// snapshot's).
+  [[nodiscard]] std::vector<std::vector<CachingOption>> options_for(
+      PopularitySnapshot snapshot, std::size_t quantum) const;
+
   const store::BackendCluster* backend_;  // non-owning
   RegionManager* region_manager_;         // non-owning
   RequestMonitor* request_monitor_;       // non-owning
@@ -119,9 +134,6 @@ class CacheManager {
   CollabPlannerHooks collab_hooks_;
   std::unique_ptr<Planner> planner_;
   CacheConfiguration config_;
-  /// Chunk cache-keys of the installed configuration (churn accounting),
-  /// sorted so the accounting sweep iterates deterministically.
-  std::set<std::string> installed_chunk_keys_;
   ControlPlaneStats stats_;
   std::uint64_t reconfigs_ = 0;
 };

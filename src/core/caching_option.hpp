@@ -16,6 +16,10 @@ namespace agar::core {
 struct CachingOption {
   ObjectKey key;
 
+  /// The key's id in the backend's object table (the cache manager fills
+  /// it in; planners order and tie-break by `key`, which reaches output).
+  ObjectId object = 0;
+
   /// The exact chunk indices to cache (most distant first, paper §IV-A).
   std::vector<ChunkIndex> chunks;
 

@@ -6,22 +6,41 @@
 
 namespace agar::core {
 
-FetchCoordinator::FetchCoordinator(sim::Network* network)
-    : network_(network) {
+FetchCoordinator::FetchCoordinator(sim::Network* network,
+                                   const store::ObjectTable* objects)
+    : network_(network), objects_(objects) {
   if (network_ == nullptr) {
     throw std::invalid_argument("FetchCoordinator: null network");
   }
 }
 
-FetchStart FetchCoordinator::fetch(const ChunkId& chunk, RegionId from,
+void FetchCoordinator::set_transport(KeyedTransport transport) {
+  if (!transport) {
+    transport_ = {};
+    return;
+  }
+  if (objects_ == nullptr) {
+    own_objects_ = std::make_unique<store::ObjectTable>();
+    objects_ = own_objects_.get();
+  }
+  transport_ = [this, keyed = std::move(transport)](
+                   const ChunkRef& chunk, RegionId from, RegionId to,
+                   std::size_t bytes, Callback cb) {
+    return keyed(ChunkId{objects_->key_of(chunk.object), chunk.index}, from,
+                 to, bytes, std::move(cb));
+  };
+}
+
+FetchStart FetchCoordinator::fetch(const ChunkRef& chunk, RegionId from,
                                    RegionId to, std::size_t bytes,
                                    Callback cb) {
-  const std::string key = chunk.cache_key();
+  const std::uint64_t key = chunk.packed();
   if (auto it = inflight_.find(key); it != inflight_.end()) {
     it->second.push_back(std::move(cb));
     ++coalesced_;
     return FetchStart::kJoined;
   }
+  // Captures two words, so std::function holds it inline (no allocation).
   Callback on_done = [this, key](std::optional<SimTimeMs> latency) {
     // Move the waiter list out before invoking: a callback may start a
     // new fetch of the same chunk, which must open a fresh entry.
@@ -37,6 +56,19 @@ FetchStart FetchCoordinator::fetch(const ChunkId& chunk, RegionId from,
   ++started_;
   max_table_size_ = std::max(max_table_size_, inflight_.size());
   return FetchStart::kStarted;
+}
+
+FetchStart FetchCoordinator::fetch(const ChunkId& chunk, RegionId from,
+                                   RegionId to, std::size_t bytes,
+                                   Callback cb) {
+  if (objects_ == nullptr) {
+    own_objects_ = std::make_unique<store::ObjectTable>();
+    objects_ = own_objects_.get();
+  }
+  const ObjectId id = own_objects_ != nullptr ? own_objects_->intern(chunk.key)
+                                              : objects_->id_of(chunk.key);
+  return fetch(objects_->chunk(id, chunk.index), from, to, bytes,
+               std::move(cb));
 }
 
 }  // namespace agar::core

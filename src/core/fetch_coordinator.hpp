@@ -16,12 +16,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
 #include "sim/network.hpp"
+#include "store/object_table.hpp"
 
 namespace agar::core {
 
@@ -42,26 +43,38 @@ class FetchCoordinator {
   /// chunk still count as a single in-flight entry that others join. The
   /// chunk identity is passed through so the cooperative cache tier can
   /// redirect a fetch to a peer cache that holds the chunk.
-  using Transport = std::function<bool(const ChunkId&, RegionId, RegionId,
+  using Transport = std::function<bool(const ChunkRef&, RegionId, RegionId,
                                        std::size_t, Callback)>;
+  /// A transport that names chunks by key string (adapter form).
+  using KeyedTransport = std::function<bool(const ChunkId&, RegionId,
+                                            RegionId, std::size_t, Callback)>;
 
-  explicit FetchCoordinator(sim::Network* network);
+  /// `objects` resolves the ChunkId adapters below; without one the
+  /// coordinator interns the keys those adapters see into a table of its
+  /// own. The ChunkRef path never consults either.
+  explicit FetchCoordinator(sim::Network* network,
+                            const store::ObjectTable* objects = nullptr);
 
   /// Route wire fetches through `transport` instead of the raw network.
   /// An empty transport restores the direct path.
   void set_transport(Transport transport) {
     transport_ = std::move(transport);
   }
+  /// Adapter: `transport` receives each chunk as a ChunkId.
+  void set_transport(KeyedTransport transport);
 
   /// Fetch chunk `chunk` of size `bytes` from backend region `to` on behalf
   /// of a client in `from`. If the chunk is already in flight the request
   /// joins it (one wire fetch, every callback fires at completion).
+  FetchStart fetch(const ChunkRef& chunk, RegionId from, RegionId to,
+                   std::size_t bytes, Callback cb);
+  /// Adapter: resolves the ChunkId and calls the ChunkRef form.
   FetchStart fetch(const ChunkId& chunk, RegionId from, RegionId to,
                    std::size_t bytes, Callback cb);
 
   /// Is a fetch of this chunk currently on the wire (or queued)?
-  [[nodiscard]] bool in_flight(const ChunkId& chunk) const {
-    return inflight_.contains(chunk.cache_key());
+  [[nodiscard]] bool in_flight(const ChunkRef& chunk) const {
+    return inflight_.contains(chunk.packed());
   }
 
   // ------------------------------------------------------- observability
@@ -74,8 +87,13 @@ class FetchCoordinator {
 
  private:
   sim::Network* network_;  // non-owning
+  /// Resolves the ChunkId adapters: the table passed in, or (built on the
+  /// first adapter call without one) own_objects_.
+  const store::ObjectTable* objects_;
+  std::unique_ptr<store::ObjectTable> own_objects_;
   Transport transport_;    // empty = raw network
-  std::unordered_map<std::string, std::vector<Callback>> inflight_;
+  /// Waiters per in-flight chunk, keyed by ChunkRef::packed().
+  std::unordered_map<std::uint64_t, std::vector<Callback>> inflight_;
   std::uint64_t started_ = 0;
   std::uint64_t coalesced_ = 0;
   std::size_t max_table_size_ = 0;

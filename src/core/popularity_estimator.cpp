@@ -3,39 +3,57 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "api/registry.hpp"
 #include "stats/count_min.hpp"
 #include "stats/freq_tracker.hpp"
+#include "store/object_table.hpp"
 
 namespace agar::core {
 
 namespace {
 
+/// Sort a snapshot into the key strings' order.
+void sort_by_key(PopularitySnapshot& snap, const store::ObjectTable& objects) {
+  std::sort(snap.begin(), snap.end(), [&objects](const auto& a, const auto& b) {
+    return objects.key_less(a.first, b.first);
+  });
+}
+
+const store::ObjectTable& require_objects(const api::EstimatorContext& ctx) {
+  if (ctx.objects == nullptr) {
+    throw std::invalid_argument("popularity estimator: no object table");
+  }
+  return *ctx.objects;
+}
+
 /// The paper's monitor: exact per-key counts + EWMA (stats::FreqTracker),
 /// with the current period's in-flight counts blended into every reading.
 class ExactEwmaEstimator final : public PopularityEstimator {
  public:
-  ExactEwmaEstimator(double alpha, double drop_below)
-      : alpha_(alpha), tracker_(alpha, drop_below) {}
+  ExactEwmaEstimator(const store::ObjectTable& objects, double alpha,
+                     double drop_below)
+      : objects_(objects), alpha_(alpha), tracker_(alpha, drop_below) {}
 
-  void record(const ObjectKey& key) override { tracker_.record(key); }
+  void record(ObjectId id) override { tracker_.record(id); }
 
   void roll_period() override { tracker_.roll_period(); }
 
-  [[nodiscard]] double popularity(const ObjectKey& key) const override {
-    return tracker_.popularity(key) +
-           alpha_ * static_cast<double>(tracker_.current_count(key));
+  [[nodiscard]] double popularity(ObjectId id) const override {
+    return tracker_.popularity(id) +
+           alpha_ * static_cast<double>(tracker_.current_count(id));
   }
 
-  [[nodiscard]] std::vector<std::pair<ObjectKey, double>> snapshot()
-      const override {
-    auto snap = tracker_.snapshot();
-    for (auto& [key, pop] : snap) {
-      pop += alpha_ * static_cast<double>(tracker_.current_count(key));
+  [[nodiscard]] PopularitySnapshot snapshot() const override {
+    PopularitySnapshot snap;
+    snap.reserve(tracker_.tracked_keys());
+    for (const ObjectId id : tracker_.tracked()) {
+      snap.emplace_back(id, popularity(id));
     }
-    std::sort(snap.begin(), snap.end());
+    sort_by_key(snap, objects_);
     return snap;
   }
 
@@ -46,6 +64,7 @@ class ExactEwmaEstimator final : public PopularityEstimator {
   [[nodiscard]] std::string name() const override { return "exact-ewma"; }
 
  private:
+  const store::ObjectTable& objects_;
   double alpha_;
   stats::FreqTracker tracker_;
 };
@@ -53,21 +72,24 @@ class ExactEwmaEstimator final : public PopularityEstimator {
 /// Sketch-backed estimator: per-period counts live in a count-min sketch
 /// (fixed memory regardless of keyspace), and only a bounded candidate set
 /// of keys carries an EWMA popularity into planning. Estimates can only
-/// over-count (sketch collisions), never under-count.
+/// over-count (sketch collisions), never under-count. The sketch hashes
+/// each key's FNV-1a, as the string-keyed sketch did.
 class CountMinEstimator final : public PopularityEstimator {
  public:
-  CountMinEstimator(double alpha, std::size_t width, std::size_t depth,
+  CountMinEstimator(const store::ObjectTable& objects, double alpha,
+                    std::size_t width, std::size_t depth,
                     std::size_t max_keys, double drop_below)
-      : alpha_(alpha),
+      : objects_(objects),
+        alpha_(alpha),
         max_keys_(std::max<std::size_t>(max_keys, 1)),
         drop_below_(drop_below),
         sketch_(width, depth) {}
 
-  void record(const ObjectKey& key) override {
-    sketch_.add(key);
-    if (pops_.count(key) != 0) return;
+  void record(ObjectId id) override {
+    sketch_.add(objects_.key_hash(id));
+    if (pops_.count(id) != 0) return;
     if (pops_.size() < max_keys_) {
-      pops_.emplace(key, 0.0);
+      pops_.emplace(id, 0.0);
       return;
     }
     // Candidate set full: a new key displaces the weakest candidate only
@@ -76,15 +98,15 @@ class CountMinEstimator final : public PopularityEstimator {
     // full O(max_keys) victim scan is amortized: it runs once per period
     // roll and once per displacement; the steady-state challenge is one
     // O(depth) re-estimate of the cached victim.
-    const auto est = sketch_.estimate(key);
+    const auto est = sketch_.estimate(objects_.key_hash(id));
     if (est < 2) return;
-    if (weakest_.empty()) refresh_weakest();
-    if (weakest_.empty()) return;
-    const double weakest_pop = blended(weakest_, pops_.at(weakest_));
+    if (!weakest_.has_value()) refresh_weakest();
+    if (!weakest_.has_value()) return;
+    const double weakest_pop = blended(*weakest_, pops_.at(*weakest_));
     if (alpha_ * static_cast<double>(est) > weakest_pop) {
-      pops_.erase(weakest_);
-      pops_.emplace(key, 0.0);
-      weakest_.clear();
+      pops_.erase(*weakest_);
+      pops_.emplace(id, 0.0);
+      weakest_.reset();
     }
   }
 
@@ -92,7 +114,7 @@ class CountMinEstimator final : public PopularityEstimator {
     // agar-lint: ordered-ok(per-key EWMA decay + threshold drop; every key
     // is updated independently, so visit order cannot change the result)
     for (auto it = pops_.begin(); it != pops_.end();) {
-      const auto count = sketch_.estimate(it->first);
+      const auto count = sketch_.estimate(objects_.key_hash(it->first));
       it->second = alpha_ * static_cast<double>(count) +
                    (1.0 - alpha_) * it->second;
       if (it->second < drop_below_) {
@@ -105,24 +127,21 @@ class CountMinEstimator final : public PopularityEstimator {
     // decayed popularities re-rank the candidates, so the cached victim
     // is stale.
     sketch_.reset();
-    weakest_.clear();
+    weakest_.reset();
   }
 
-  [[nodiscard]] double popularity(const ObjectKey& key) const override {
-    const auto it = pops_.find(key);
-    return blended(key, it == pops_.end() ? 0.0 : it->second);
+  [[nodiscard]] double popularity(ObjectId id) const override {
+    const auto it = pops_.find(id);
+    return blended(id, it == pops_.end() ? 0.0 : it->second);
   }
 
-  [[nodiscard]] std::vector<std::pair<ObjectKey, double>> snapshot()
-      const override {
-    std::vector<std::pair<ObjectKey, double>> out;
+  [[nodiscard]] PopularitySnapshot snapshot() const override {
+    PopularitySnapshot out;
     out.reserve(pops_.size());
-    // agar-lint: ordered-ok(sorted below; snapshot() promises key-sorted
-    // output — the estimator determinism contract from PR 5)
-    for (const auto& [key, pop] : pops_) {
-      out.emplace_back(key, blended(key, pop));
-    }
-    std::sort(out.begin(), out.end());
+    // agar-lint: ordered-ok(sorted by key string below; snapshot() promises
+    // key-sorted output — the estimator determinism contract)
+    for (const auto& [id, pop] : pops_) out.emplace_back(id, blended(id, pop));
+    sort_by_key(out, objects_);
     return out;
   }
 
@@ -133,33 +152,37 @@ class CountMinEstimator final : public PopularityEstimator {
   [[nodiscard]] std::string name() const override { return "count-min"; }
 
  private:
-  [[nodiscard]] double blended(const ObjectKey& key, double pop) const {
-    return pop + alpha_ * static_cast<double>(sketch_.estimate(key));
+  [[nodiscard]] double blended(ObjectId id, double pop) const {
+    return pop +
+           alpha_ * static_cast<double>(sketch_.estimate(objects_.key_hash(id)));
   }
 
-  /// Full victim scan; deterministic tie-break (lexicographically largest
-  /// key) so displacement order never depends on hash-map iteration.
+  /// Full victim scan; deterministic tie-break (the lexicographically
+  /// largest key string) so displacement order never depends on hash-map
+  /// iteration.
   void refresh_weakest() {
-    weakest_.clear();
+    weakest_.reset();
     double weakest_pop = std::numeric_limits<double>::infinity();
-    // agar-lint: ordered-ok(min-scan with explicit lexicographic tie-break;
+    // agar-lint: ordered-ok(min-scan with explicit key-string tie-break;
     // the chosen victim is order-independent)
-    for (const auto& [key, pop] : pops_) {
-      const double p = blended(key, pop);
-      if (p < weakest_pop || (p == weakest_pop && key > weakest_)) {
-        weakest_ = key;
+    for (const auto& [id, pop] : pops_) {
+      const double p = blended(id, pop);
+      if (!weakest_.has_value() || p < weakest_pop ||
+          (p == weakest_pop && objects_.key_less(*weakest_, id))) {
+        weakest_ = id;
         weakest_pop = p;
       }
     }
   }
 
+  const store::ObjectTable& objects_;
   double alpha_;
   std::size_t max_keys_;
   double drop_below_;
   stats::CountMinSketch sketch_;
-  std::unordered_map<ObjectKey, double> pops_;
+  std::unordered_map<ObjectId, double> pops_;
   /// Cached displacement victim; empty = recompute on next challenge.
-  ObjectKey weakest_;
+  std::optional<ObjectId> weakest_;
 };
 
 const api::EstimatorRegistration kExactEwma{{
@@ -173,7 +196,8 @@ const api::EstimatorRegistration kExactEwma{{
     }},
     [](const api::EstimatorContext& ctx, const api::ParamMap& params) {
       return std::make_unique<ExactEwmaEstimator>(
-          ctx.ewma_alpha, params.get_double("drop_below", 1e-3));
+          require_objects(ctx), ctx.ewma_alpha,
+          params.get_double("drop_below", 1e-3));
     },
     {}}};
 
@@ -192,7 +216,7 @@ const api::EstimatorRegistration kCountMin{{
     }},
     [](const api::EstimatorContext& ctx, const api::ParamMap& params) {
       return std::make_unique<CountMinEstimator>(
-          ctx.ewma_alpha, params.get_size("width", 1024),
+          require_objects(ctx), ctx.ewma_alpha, params.get_size("width", 1024),
           params.get_size("depth", 4), params.get_size("max_keys", 4096),
           params.get_double("drop_below", 1e-3));
     },

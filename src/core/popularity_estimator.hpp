@@ -20,12 +20,19 @@
 
 namespace agar::core {
 
+/// (object, popularity) pairs in the key strings' order.
+using PopularitySnapshot = std::vector<std::pair<ObjectId, double>>;
+
+/// Estimators count ObjectIds (one array or hash-table step per read, no
+/// string hashing); the object table they are built with supplies the key
+/// order their snapshots and tie-breaks follow and the key hashes their
+/// sketches use, so every decision matches the string-keyed estimator.
 class PopularityEstimator {
  public:
   virtual ~PopularityEstimator() = default;
 
-  /// Count one access to `key` in the current period.
-  virtual void record(const ObjectKey& key) = 0;
+  /// Count one access to `id` in the current period.
+  virtual void record(ObjectId id) = 0;
 
   /// Close the current period: popularity <- alpha*count + (1-alpha)*pop.
   virtual void roll_period() = 0;
@@ -33,13 +40,12 @@ class PopularityEstimator {
   /// Smoothed popularity blended with the current period's in-flight
   /// counts, so a cold start still ranks keys (paper: the first iteration
   /// uses popularity = alpha * freq + (1 - alpha) * 0).
-  [[nodiscard]] virtual double popularity(const ObjectKey& key) const = 0;
+  [[nodiscard]] virtual double popularity(ObjectId id) const = 0;
 
-  /// All (key, popularity) pairs, **sorted by key**. The sort order is a
-  /// contract: it is what makes planner input — and therefore the installed
-  /// configuration — byte-identical across platforms and builds.
-  [[nodiscard]] virtual std::vector<std::pair<ObjectKey, double>> snapshot()
-      const = 0;
+  /// All (id, popularity) pairs, **sorted by key string**. The sort order
+  /// is a contract: it is what makes planner input — and therefore the
+  /// installed configuration — byte-identical across platforms and builds.
+  [[nodiscard]] virtual PopularitySnapshot snapshot() const = 0;
 
   [[nodiscard]] virtual std::size_t tracked_keys() const = 0;
 

@@ -7,11 +7,10 @@ namespace agar::core {
 ReadPlan plan_chunk_sources(const store::BackendCluster& backend,
                             const RegionManager& region_manager,
                             const cache::StaticConfigCache& cache,
-                            const ConfiguredChunkFn& configured,
-                            const ObjectKey& key) {
+                            ChunkMask configured, ObjectId id) {
   ReadPlan plan;
 
-  auto costs = region_manager.chunk_costs(key);
+  auto costs = region_manager.chunk_costs(id);
   // Cheapest-first order; deterministic tie-break.
   std::sort(costs.begin(), costs.end(),
             [](const ChunkCost& a, const ChunkCost& b) {
@@ -22,13 +21,16 @@ ReadPlan plan_chunk_sources(const store::BackendCluster& backend,
               return a.index < b.index;
             });
   const std::size_t k = backend.codec().k();
+  const auto is_configured = [configured](ChunkIndex idx) {
+    return ((configured >> idx) & 1U) != 0;
+  };
 
   // Resident chunks come from the cache.
   std::vector<ChunkCost> not_resident;
   not_resident.reserve(costs.size());
   for (const auto& c : costs) {
-    const std::string ck = ChunkId{key, c.index}.cache_key();
-    if (plan.from_cache.size() < k && cache.contains(ck)) {
+    if (plan.from_cache.size() < k &&
+        cache.contains(backend.chunk(id, c.index))) {
       plan.from_cache.push_back(c.index);
     } else {
       not_resident.push_back(c);
@@ -41,15 +43,13 @@ ReadPlan plan_chunk_sources(const store::BackendCluster& backend,
     plan.from_backend.emplace_back(c.index, c.region);
     // A fetched chunk the configuration wants cached is written back after
     // the read (asynchronously, off the latency path).
-    if (configured(key, c.index)) {
-      plan.populate_after_read.push_back(c.index);
-    }
+    if (is_configured(c.index)) plan.populate_after_read.push_back(c.index);
   }
 
   // Configured chunks that are neither resident nor fetched on-path are
   // downloaded a-priori by the population thread pool.
   for (const auto& c : not_resident) {
-    if (!configured(key, c.index)) continue;
+    if (!is_configured(c.index)) continue;
     const bool on_path =
         std::any_of(plan.from_backend.begin(), plan.from_backend.end(),
                     [&](const auto& p) { return p.first == c.index; });
@@ -57,6 +57,19 @@ ReadPlan plan_chunk_sources(const store::BackendCluster& backend,
   }
 
   return plan;
+}
+
+ReadPlan plan_chunk_sources(const store::BackendCluster& backend,
+                            const RegionManager& region_manager,
+                            const cache::StaticConfigCache& cache,
+                            const ConfiguredChunkFn& configured,
+                            const ObjectKey& key) {
+  const ObjectId id = backend.objects().id_of(key);
+  ChunkMask mask = 0;
+  for (ChunkIndex i = 0; i < backend.codec().rs().total(); ++i) {
+    if (configured(key, i)) mask |= ChunkMask{1} << i;
+  }
+  return plan_chunk_sources(backend, region_manager, cache, mask, id);
 }
 
 }  // namespace agar::core

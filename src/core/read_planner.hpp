@@ -35,15 +35,24 @@ struct ReadPlan {
 };
 
 /// Predicate: is chunk `index` of `key` part of the current configuration?
+/// (The key-string adapter's form of the configured mask.)
 using ConfiguredChunkFn = std::function<bool(const ObjectKey&, ChunkIndex)>;
 
-/// Build the plan for one read:
+/// Build the plan for one read of `id`, whose configured chunks are the
+/// set bits of `configured`:
 ///   * resident chunks come from the cache (up to k);
 ///   * the remainder fills with the cheapest backend regions per the
 ///     region manager's live latency estimates;
 ///   * configured chunks that were fetched on-path are written back after
 ///     the read; configured chunks neither resident nor fetched are
 ///     downloaded asynchronously by the population pool.
+[[nodiscard]] ReadPlan plan_chunk_sources(const store::BackendCluster& backend,
+                                          const RegionManager& region_manager,
+                                          const cache::StaticConfigCache& cache,
+                                          ChunkMask configured, ObjectId id);
+
+/// Key-string adapter: resolves `key` (std::out_of_range if unknown) and
+/// `configured` into the mask, then plans on ids.
 [[nodiscard]] ReadPlan plan_chunk_sources(const store::BackendCluster& backend,
                                           const RegionManager& region_manager,
                                           const cache::StaticConfigCache& cache,

@@ -92,18 +92,14 @@ double RegionManager::estimate_ms(RegionId region) const {
   return estimator_.estimate_ms(region);
 }
 
-RegionId RegionManager::region_of(const ObjectKey& key,
-                                  ChunkIndex index) const {
-  return backend_->placement().region_of(key, index, backend_->num_regions());
-}
-
-std::vector<ChunkCost> RegionManager::chunk_costs(const ObjectKey& key) const {
-  const store::ObjectInfo info = backend_->object_info(key);
+std::vector<ChunkCost> RegionManager::chunk_costs(ObjectId id) const {
+  const std::size_t total = backend_->codec().rs().total();
   std::vector<ChunkCost> out;
-  out.reserve(info.locations.size());
-  for (const auto& loc : info.locations) {
-    out.push_back(
-        ChunkCost{loc.index, loc.region, estimate_ms(loc.region)});
+  out.reserve(total);
+  for (std::size_t i = 0; i < total; ++i) {
+    const auto idx = static_cast<ChunkIndex>(i);
+    const RegionId region = backend_->region_of(id, idx);
+    out.push_back(ChunkCost{idx, region, estimate_ms(region)});
   }
   return out;
 }

@@ -57,12 +57,14 @@ class RegionManager {
   /// Estimated chunk-fetch latency from the local region to `region`.
   [[nodiscard]] double estimate_ms(RegionId region) const;
 
-  /// Chunk costs for every chunk of `key` — input to the option generator.
-  [[nodiscard]] std::vector<ChunkCost> chunk_costs(const ObjectKey& key) const;
+  /// Chunk costs for every chunk of `id`, in stripe order — input to the
+  /// option generator and the read planner.
+  [[nodiscard]] std::vector<ChunkCost> chunk_costs(ObjectId id) const;
 
   /// Region of one specific chunk under the placement policy.
-  [[nodiscard]] RegionId region_of(const ObjectKey& key,
-                                   ChunkIndex index) const;
+  [[nodiscard]] RegionId region_of(ObjectId id, ChunkIndex index) const {
+    return backend_->region_of(id, index);
+  }
 
   [[nodiscard]] RegionId local_region() const { return params_.local_region; }
   [[nodiscard]] const stats::LatencyEstimator& estimator() const {

@@ -17,6 +17,7 @@
 #include "api/param_map.hpp"
 #include "common/types.hpp"
 #include "core/popularity_estimator.hpp"
+#include "store/object_table.hpp"
 
 namespace agar::core {
 
@@ -32,21 +33,30 @@ struct RequestMonitorParams {
 
 class RequestMonitor {
  public:
-  explicit RequestMonitor(RequestMonitorParams params = {});
+  /// `objects` (non-null, must outlive the monitor) is the table the
+  /// recorded ids come from.
+  RequestMonitor(RequestMonitorParams params,
+                 const store::ObjectTable* objects);
 
   /// Record one client access. Returns the monitor's processing overhead in
   /// ms so the caller can charge it to the request's latency.
-  double record_access(const ObjectKey& key);
+  double record_access(ObjectId id);
+  /// Key-string adapter: resolves the key (std::out_of_range if unknown).
+  double record_access(const ObjectKey& key) {
+    return record_access(objects_->id_of(key));
+  }
 
   /// Close the current period (called by the cache manager at
   /// reconfiguration time): folds counts into smoothed popularities.
   void roll_period();
 
-  [[nodiscard]] double popularity(const ObjectKey& key) const;
+  [[nodiscard]] double popularity(ObjectId id) const;
 
-  /// (key, popularity) snapshot for the cache manager, sorted by key —
-  /// planner input never depends on hash-map iteration order.
-  [[nodiscard]] std::vector<std::pair<ObjectKey, double>> snapshot() const;
+  /// (id, popularity) snapshot for the cache manager, sorted by key
+  /// string — planner input never depends on hash-map iteration order.
+  [[nodiscard]] PopularitySnapshot snapshot() const;
+
+  [[nodiscard]] const store::ObjectTable& objects() const { return *objects_; }
 
   [[nodiscard]] std::uint64_t accesses() const { return accesses_; }
   [[nodiscard]] std::size_t tracked_keys() const {
@@ -59,6 +69,7 @@ class RequestMonitor {
 
  private:
   RequestMonitorParams params_;
+  const store::ObjectTable* objects_;  // non-owning
   std::unique_ptr<PopularityEstimator> estimator_;
   std::uint64_t accesses_ = 0;
 };

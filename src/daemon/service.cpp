@@ -26,7 +26,10 @@ GetResponse ServiceInstance::serve_get(const std::string& key,
                                        bool want_payload) {
   const std::lock_guard<std::mutex> lock(mutex_);
   GetResponse response;
-  if (!deployment_->backend().has_object(key)) {
+  // The key is resolved once; the read runs on its id.
+  const store::BackendCluster& backend = deployment_->backend();
+  const auto id = backend.objects().find(key);
+  if (!id.has_value()) {
     response.status = Status::kUnknownKey;
     return response;
   }
@@ -35,7 +38,7 @@ GetResponse ServiceInstance::serve_get(const std::string& key,
   // exactly the closed-loop single-client schedule the runner replays,
   // and the runner's recorder accounts for it.
   recorder_.begin_read();
-  const client::ReadResult result = strategy_->read(key);
+  const client::ReadResult result = strategy_->read(*id);
   recorder_.complete_read(result, loop_.now());
   if (result.failed) response.status = Status::kFailedRead;
 
@@ -45,11 +48,10 @@ GetResponse ServiceInstance::serve_get(const std::string& key,
   response.degraded = result.degraded;
   response.virtual_ms = result.latency_ms;
   if (want_payload && !result.failed) {
-    const store::ObjectInfo info = deployment_->backend().object_info(key);
     // The working set is deterministic-by-key, so the payload can be
     // regenerated instead of threaded through the strategies (which only
     // move bytes in verify mode).
-    const Bytes payload = deterministic_payload(key, info.object_size);
+    const Bytes payload = deterministic_payload(key, backend.object_size(*id));
     response.payload.assign(payload.begin(), payload.end());
   }
   return response;

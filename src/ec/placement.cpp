@@ -17,14 +17,18 @@ std::vector<ChunkIndex> Placement::chunks_in_region(
   return out;
 }
 
-RegionId RoundRobinPlacement::region_of(const ObjectKey& key, ChunkIndex index,
-                                        std::size_t num_regions) const {
+RegionId Placement::region_of(const ObjectKey& key, ChunkIndex index,
+                              std::size_t num_regions) const {
   if (num_regions == 0) {
-    throw std::invalid_argument("RoundRobinPlacement: no regions");
+    throw std::invalid_argument("Placement: no regions");
   }
-  std::size_t offset = 0;
-  if (per_key_offset_) offset = fnv1a(key) % num_regions;
-  return static_cast<RegionId>((index + offset) % num_regions);
+  return static_cast<RegionId>(
+      (index + stripe_offset(fnv1a(key), num_regions)) % num_regions);
+}
+
+std::size_t RoundRobinPlacement::stripe_offset(std::uint64_t key_hash,
+                                               std::size_t num_regions) const {
+  return per_key_offset_ ? key_hash % num_regions : 0;
 }
 
 }  // namespace agar::ec

@@ -1,9 +1,12 @@
 // Chunk placement policy: which region stores which chunk of an object.
 //
 // The paper (Fig. 1) distributes the twelve chunks of each object over six
-// regions round-robin, two chunks per region. The policy is a pure function
-// of (key, chunk index, region count) so every component — backend, region
-// manager, client — independently agrees on the layout without metadata.
+// regions round-robin, two chunks per region. A placement rotates that
+// stripe by a per-key offset, a pure function of the key's FNV-1a hash and
+// the region count, so every component — backend, region manager, client —
+// independently agrees on the layout without metadata. The backend computes
+// each object's offset once, at registration, and derives every chunk's
+// region from it arithmetically.
 #pragma once
 
 #include <cstdint>
@@ -17,10 +20,15 @@ class Placement {
  public:
   virtual ~Placement() = default;
 
+  /// Rotation of the stripe of the key hashing to `key_hash`: chunk i
+  /// lives in region (i + offset) % num_regions. In [0, num_regions).
+  [[nodiscard]] virtual std::size_t stripe_offset(
+      std::uint64_t key_hash, std::size_t num_regions) const = 0;
+
   /// Region storing chunk `index` of `key`, given `num_regions` regions.
-  [[nodiscard]] virtual RegionId region_of(const ObjectKey& key,
-                                           ChunkIndex index,
-                                           std::size_t num_regions) const = 0;
+  /// Throws std::invalid_argument when num_regions is 0.
+  [[nodiscard]] RegionId region_of(const ObjectKey& key, ChunkIndex index,
+                                   std::size_t num_regions) const;
 
   /// All chunk indices of a (k+m)-chunk stripe that live in `region`.
   [[nodiscard]] std::vector<ChunkIndex> chunks_in_region(
@@ -38,8 +46,8 @@ class RoundRobinPlacement final : public Placement {
   explicit RoundRobinPlacement(bool per_key_offset = false)
       : per_key_offset_(per_key_offset) {}
 
-  [[nodiscard]] RegionId region_of(const ObjectKey& key, ChunkIndex index,
-                                   std::size_t num_regions) const override;
+  [[nodiscard]] std::size_t stripe_offset(
+      std::uint64_t key_hash, std::size_t num_regions) const override;
 
  private:
   bool per_key_offset_;

@@ -23,8 +23,13 @@ WriteRecord WriteRecord::decode(const std::string& s) {
 
 CoherenceCoordinator::CoherenceCoordinator(std::size_t num_regions,
                                            sim::Network* network,
+                                           const store::ObjectTable* objects,
                                            double message_rtt_factor)
-    : log_(num_regions, network, message_rtt_factor) {}
+    : log_(num_regions, network, message_rtt_factor), objects_(objects) {
+  if (objects_ == nullptr) {
+    throw std::invalid_argument("CoherenceCoordinator: null object table");
+  }
+}
 
 void CoherenceCoordinator::attach_cache(RegionId region,
                                         cache::CacheEngine* cache,
@@ -60,11 +65,12 @@ void CoherenceCoordinator::apply_decided_records() {
     // lower-than-proposed version number, so take the max.
     auto& v = versions_[record.key];
     v = std::max(v, record.version);
+    // A key no cache can hold (never interned) has nothing to invalidate.
+    const auto id = objects_->find(record.key);
+    if (!id.has_value()) continue;
     for (const auto& attached : caches_) {
       for (ChunkIndex i = 0; i < attached.total_chunks; ++i) {
-        if (attached.cache->erase(ChunkId{record.key, i}.cache_key())) {
-          ++invalidations_;
-        }
+        if (attached.cache->erase(objects_->chunk(*id, i))) ++invalidations_;
       }
     }
   }

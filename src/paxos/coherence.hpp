@@ -20,6 +20,7 @@
 
 #include "cache/cache.hpp"
 #include "paxos/replicated_log.hpp"
+#include "store/object_table.hpp"
 
 namespace agar::paxos {
 
@@ -34,11 +35,14 @@ struct WriteRecord {
 
 class CoherenceCoordinator {
  public:
+  /// `objects` (non-null, outlives the coordinator) resolves the keys of
+  /// decided records to the chunks the attached caches hold.
   CoherenceCoordinator(std::size_t num_regions, sim::Network* network,
+                       const store::ObjectTable* objects,
                        double message_rtt_factor = 0.3);
 
   /// Register a region's cache; its entries for a written object's chunks
-  /// (keys "<object>#<i>") are erased when the write commits.
+  /// are erased when the write commits.
   /// `total_chunks` bounds the chunk indices to invalidate.
   void attach_cache(RegionId region, cache::CacheEngine* cache,
                     std::size_t total_chunks);
@@ -68,6 +72,7 @@ class CoherenceCoordinator {
   };
 
   ReplicatedLog log_;
+  const store::ObjectTable* objects_;  // non-owning
   std::vector<AttachedCache> caches_;
   std::unordered_map<ObjectKey, std::uint64_t> versions_;
   std::size_t applied_prefix_ = 0;

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.hpp"
+
 namespace agar::stats {
 
 class CountMinSketch {
@@ -18,11 +20,16 @@ class CountMinSketch {
   CountMinSketch(std::size_t width, std::size_t depth,
                  std::uint64_t aging_window = 0);
 
-  /// Increment the estimated count for `key`.
-  void add(const std::string& key);
+  /// Increment the estimated count of the key whose FNV-1a hash is
+  /// `key_hash` (every row mixes this one hash with its own seed).
+  void add(std::uint64_t key_hash);
+  void add(const std::string& key) { add(fnv1a(key)); }
 
   /// Estimated count (upper bound with high probability).
-  [[nodiscard]] std::uint64_t estimate(const std::string& key) const;
+  [[nodiscard]] std::uint64_t estimate(std::uint64_t key_hash) const;
+  [[nodiscard]] std::uint64_t estimate(const std::string& key) const {
+    return estimate(fnv1a(key));
+  }
 
   /// Total increments folded in since construction (monotonic, not halved).
   [[nodiscard]] std::uint64_t total_adds() const { return adds_; }
@@ -39,7 +46,7 @@ class CountMinSketch {
 
  private:
   [[nodiscard]] std::size_t cell(std::size_t row,
-                                 const std::string& key) const;
+                                 std::uint64_t key_hash) const;
 
   std::size_t width_;
   std::uint64_t aging_window_;

@@ -2,41 +2,32 @@
 
 namespace agar::stats {
 
-void FreqTracker::record(const ObjectKey& key) {
-  ++state_[key].count;
+void FreqTracker::record(ObjectId id) {
+  if (id >= state_.size()) state_.resize(static_cast<std::size_t>(id) + 1);
+  KeyState& s = state_[id];
+  ++s.count;
+  if (!s.tracked) {
+    s.tracked = true;
+    tracked_.push_back(id);
+  }
 }
 
 std::size_t FreqTracker::roll_period() {
   ++periods_;
-  for (auto it = state_.begin(); it != state_.end();) {
-    KeyState& s = it->second;
+  std::size_t kept = 0;
+  for (const ObjectId id : tracked_) {
+    KeyState& s = state_[id];
     s.popularity = alpha_ * static_cast<double>(s.count) +
                    (1.0 - alpha_) * s.popularity;
     s.count = 0;
     if (s.popularity < drop_below_) {
-      it = state_.erase(it);
+      s = KeyState{};
     } else {
-      ++it;
+      tracked_[kept++] = id;
     }
   }
-  return state_.size();
-}
-
-double FreqTracker::popularity(const ObjectKey& key) const {
-  const auto it = state_.find(key);
-  return it == state_.end() ? 0.0 : it->second.popularity;
-}
-
-std::uint64_t FreqTracker::current_count(const ObjectKey& key) const {
-  const auto it = state_.find(key);
-  return it == state_.end() ? 0 : it->second.count;
-}
-
-std::vector<std::pair<ObjectKey, double>> FreqTracker::snapshot() const {
-  std::vector<std::pair<ObjectKey, double>> out;
-  out.reserve(state_.size());
-  for (const auto& [key, s] : state_) out.emplace_back(key, s.popularity);
-  return out;
+  tracked_.resize(kept);
+  return kept;
 }
 
 }  // namespace agar::stats

@@ -16,6 +16,7 @@
 #include "ec/object_codec.hpp"
 #include "ec/placement.hpp"
 #include "store/bucket.hpp"
+#include "store/object_table.hpp"
 
 namespace agar::store {
 
@@ -60,26 +61,62 @@ class BackendCluster {
   [[nodiscard]] const ec::ObjectCodec& codec() const { return codec_; }
   [[nodiscard]] const ec::Placement& placement() const { return *placement_; }
 
-  /// Encode `data` and store its chunks across the regional buckets.
-  void put_object(const ObjectKey& key, BytesView data);
+  /// Encode `data` and store its chunks across the regional buckets. A new
+  /// key is interned (its id appends); rewriting a key keeps its id.
+  ObjectId put_object(const ObjectKey& key, BytesView data);
 
   /// Register an object's metadata without materializing chunk payloads.
   /// Used by latency-only experiments where no real bytes move; get_chunk
-  /// on such an object returns nullopt.
-  void register_object(const ObjectKey& key, std::size_t object_size);
+  /// on such an object returns nullopt. Interns the key like put_object.
+  ObjectId register_object(const ObjectKey& key, std::size_t object_size);
+
+  /// Make room for `objects` objects in all (the table and the per-object
+  /// vectors), so registering that many allocates only the index nodes.
+  void reserve(std::size_t objects);
+
+  /// The intern table: key strings <-> the ids everything else carries.
+  [[nodiscard]] const ObjectTable& objects() const { return objects_; }
 
   /// True if the object has been written.
   [[nodiscard]] bool has_object(const ObjectKey& key) const;
 
-  /// Stripe layout for an object. Throws std::out_of_range if unknown.
-  [[nodiscard]] ObjectInfo object_info(const ObjectKey& key) const;
+  // ----------------------------------------------------- by object id
+  // Ids come from objects(), put_object or register_object; an id the
+  // table never handed out is undefined behavior.
 
-  /// The object's last write (verify reference). Throws std::out_of_range
-  /// if unknown.
-  [[nodiscard]] const WrittenObject& written(const ObjectKey& key) const;
-
+  [[nodiscard]] std::size_t object_size(ObjectId id) const {
+    return written_[id].object_size;
+  }
+  [[nodiscard]] std::size_t chunk_size(ObjectId id) const {
+    return written_[id].chunk_size;
+  }
+  /// Region storing chunk `index` of `id`: the placement's rotation of the
+  /// stripe, computed from the offset stored at registration.
+  [[nodiscard]] RegionId region_of(ObjectId id, ChunkIndex index) const {
+    return static_cast<RegionId>((index + offsets_[id]) % buckets_.size());
+  }
+  /// Chunk `index` of `id`, cache-key hash filled in.
+  [[nodiscard]] ChunkRef chunk(ObjectId id, ChunkIndex index) const {
+    return objects_.chunk(id, index);
+  }
+  /// Stripe layout for an object.
+  [[nodiscard]] ObjectInfo object_info(ObjectId id) const;
+  /// The object's last write (verify reference).
+  [[nodiscard]] const WrittenObject& written(ObjectId id) const {
+    return written_[id];
+  }
   /// Fetch one chunk payload from its region's bucket. Shares the stored
   /// buffer (refcount bump); never copies the bytes.
+  [[nodiscard]] std::optional<SharedBytes> get_chunk(const ChunkRef& id) const;
+
+  // ------------------------------------ by key string (edge adapters)
+  // Each resolves the key through objects() and calls the id form.
+
+  /// Throws std::out_of_range if unknown.
+  [[nodiscard]] ObjectInfo object_info(const ObjectKey& key) const;
+  /// Throws std::out_of_range if unknown.
+  [[nodiscard]] const WrittenObject& written(const ObjectKey& key) const;
+  /// nullopt if the object is unknown.
   [[nodiscard]] std::optional<SharedBytes> get_chunk(const ChunkId& id) const;
 
   /// Direct bucket access (tests, repair tooling).
@@ -89,13 +126,20 @@ class BackendCluster {
   }
 
   [[nodiscard]] std::size_t num_objects() const { return objects_.size(); }
+  /// Every key, in id (registration) order.
   [[nodiscard]] std::vector<ObjectKey> keys() const;
 
  private:
+  /// Intern `key` and size the per-object vectors for it.
+  ObjectId intern(const ObjectKey& key);
+
   ec::ObjectCodec codec_;
   std::shared_ptr<const ec::Placement> placement_;
   std::vector<Bucket> buckets_;
-  std::unordered_map<ObjectKey, WrittenObject> objects_;
+  ObjectTable objects_;
+  // Per-object state, indexed by ObjectId.
+  std::vector<WrittenObject> written_;
+  std::vector<std::uint32_t> offsets_;  ///< placement rotation of the stripe
 };
 
 /// Populate the backend with the paper's working set: `count` objects named
@@ -104,8 +148,10 @@ class BackendCluster {
 /// once here: the stored data chunks must equal the generated payload, so
 /// a read verified against BackendCluster::written matches
 /// deterministic_payload(key) too. Throws std::logic_error otherwise.
-void populate_working_set(BackendCluster& backend, std::size_t count,
-                          std::size_t object_size,
-                          const std::string& prefix = "object");
+/// Returns the objects' ids by index.
+std::vector<ObjectId> populate_working_set(BackendCluster& backend,
+                                           std::size_t count,
+                                           std::size_t object_size,
+                                           const std::string& prefix = "object");
 
 }  // namespace agar::store

@@ -2,9 +2,9 @@
 
 namespace agar::store {
 
-void Bucket::put(const ChunkId& id, SharedBytes data) {
+void Bucket::put(const ChunkRef& id, SharedBytes data) {
   puts_.fetch_add(1, std::memory_order_relaxed);
-  auto it = chunks_.find(id);
+  auto it = chunks_.find(id.packed());
   if (it != chunks_.end()) {
     total_bytes_ -= it->second.size();
     total_bytes_ += data.size();
@@ -12,22 +12,22 @@ void Bucket::put(const ChunkId& id, SharedBytes data) {
     return;
   }
   total_bytes_ += data.size();
-  chunks_.emplace(id, std::move(data));
+  chunks_.emplace(id.packed(), std::move(data));
 }
 
-std::optional<SharedBytes> Bucket::get(const ChunkId& id) const {
+std::optional<SharedBytes> Bucket::get(const ChunkRef& id) const {
   gets_.fetch_add(1, std::memory_order_relaxed);
-  const auto it = chunks_.find(id);
+  const auto it = chunks_.find(id.packed());
   if (it == chunks_.end()) return std::nullopt;
   return it->second;  // refcount bump, not a byte copy
 }
 
-bool Bucket::contains(const ChunkId& id) const {
-  return chunks_.contains(id);
+bool Bucket::contains(const ChunkRef& id) const {
+  return chunks_.contains(id.packed());
 }
 
-bool Bucket::erase(const ChunkId& id) {
-  const auto it = chunks_.find(id);
+bool Bucket::erase(const ChunkRef& id) {
+  const auto it = chunks_.find(id.packed());
   if (it == chunks_.end()) return false;
   total_bytes_ -= it->second.size();
   chunks_.erase(it);

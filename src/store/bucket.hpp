@@ -1,7 +1,7 @@
 // An S3-like bucket: durable chunk storage for one region.
 //
-// Buckets store chunk payloads keyed by ChunkId and keep simple counters so
-// tests and reports can observe backend traffic.
+// Buckets store chunk payloads keyed by ChunkRef (object id + index) and
+// keep simple counters so tests and reports can observe backend traffic.
 #pragma once
 
 #include <atomic>
@@ -18,14 +18,14 @@ namespace agar::store {
 class Bucket {
  public:
   /// Store (or overwrite) one chunk. Accepts Bytes too (adopted by move).
-  void put(const ChunkId& id, SharedBytes data);
+  void put(const ChunkRef& id, SharedBytes data);
 
   /// Fetch a chunk payload; nullopt if absent. The returned handle shares
   /// the stored buffer (no copy) and stays valid past eviction/overwrite.
-  [[nodiscard]] std::optional<SharedBytes> get(const ChunkId& id) const;
+  [[nodiscard]] std::optional<SharedBytes> get(const ChunkRef& id) const;
 
-  [[nodiscard]] bool contains(const ChunkId& id) const;
-  bool erase(const ChunkId& id);
+  [[nodiscard]] bool contains(const ChunkRef& id) const;
+  bool erase(const ChunkRef& id);
 
   [[nodiscard]] std::size_t num_chunks() const { return chunks_.size(); }
   [[nodiscard]] std::size_t total_bytes() const { return total_bytes_; }
@@ -42,7 +42,7 @@ class Bucket {
   }
 
  private:
-  std::unordered_map<ChunkId, SharedBytes> chunks_;
+  std::unordered_map<std::uint64_t, SharedBytes> chunks_;  // by packed()
   std::size_t total_bytes_ = 0;
   mutable std::atomic<std::uint64_t> gets_{0};
   std::atomic<std::uint64_t> puts_{0};

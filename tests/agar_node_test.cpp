@@ -43,6 +43,10 @@ class AgarNodeTest : public ::testing::Test {
     EXPECT_EQ(node.cache_manager().reconfigurations(), before + 1);
   }
 
+  ObjectId id(const ObjectKey& key) const {
+    return backend_.objects().id_of(key);
+  }
+
   sim::EventLoop loop_;
   sim::Topology topology_;
   sim::Network network_;
@@ -52,7 +56,7 @@ class AgarNodeTest : public ::testing::Test {
 TEST_F(AgarNodeTest, PlanCoversExactlyKChunks) {
   AgarNode node(&backend_, &network_, params());
   node.warm_up();
-  const ReadPlan plan = node.plan_read("object0");
+  const ReadPlan plan = node.plan_read(id("object0"));
   EXPECT_EQ(plan.chunks_on_path(), 9u);
   EXPECT_TRUE(plan.from_cache.empty());  // nothing configured yet
   EXPECT_DOUBLE_EQ(plan.monitor_overhead_ms, 0.5);
@@ -61,7 +65,7 @@ TEST_F(AgarNodeTest, PlanCoversExactlyKChunks) {
 TEST_F(AgarNodeTest, PlanPrefersCheapRegions) {
   AgarNode node(&backend_, &network_, params());
   node.warm_up();
-  const ReadPlan plan = node.plan_read("object0");
+  const ReadPlan plan = node.plan_read(id("object0"));
   // The m = 3 most distant chunks (2x Sydney + 1x Tokyo from Frankfurt)
   // must not be on the plan.
   std::size_t sydney = 0, tokyo = 0;
@@ -76,21 +80,21 @@ TEST_F(AgarNodeTest, PlanPrefersCheapRegions) {
 TEST_F(AgarNodeTest, PlanRecordsAccessInMonitor) {
   AgarNode node(&backend_, &network_, params());
   node.warm_up();
-  (void)node.plan_read("object3");
-  (void)node.plan_read("object3");
+  (void)node.plan_read(id("object3"));
+  (void)node.plan_read(id("object3"));
   EXPECT_EQ(node.request_monitor().accesses(), 2u);
-  EXPECT_GT(node.request_monitor().popularity("object3"), 0.0);
+  EXPECT_GT(node.request_monitor().popularity(id("object3")), 0.0);
 }
 
 TEST_F(AgarNodeTest, ConfiguredChunksMarkedForPopulation) {
   AgarNode node(&backend_, &network_, params());
   node.warm_up();
   node.attach_to_loop(loop_);
-  for (int i = 0; i < 50; ++i) (void)node.plan_read("object0");
+  for (int i = 0; i < 50; ++i) (void)node.plan_read(id("object0"));
   run_next_period(node);
   ASSERT_TRUE(node.cache_manager().current().entries.contains("object0"));
 
-  const ReadPlan plan = node.plan_read("object0");
+  const ReadPlan plan = node.plan_read(id("object0"));
   // Cache not yet populated: configured chunks appear either in
   // populate_after_read (if fetched on-path) or async_populate.
   const std::size_t configured =
@@ -104,7 +108,7 @@ TEST_F(AgarNodeTest, ResidentChunksComeFromCache) {
   AgarNode node(&backend_, &network_, params());
   node.warm_up();
   node.attach_to_loop(loop_);
-  for (int i = 0; i < 50; ++i) (void)node.plan_read("object0");
+  for (int i = 0; i < 50; ++i) (void)node.plan_read(id("object0"));
   run_next_period(node);
   const auto& opt = node.cache_manager().current().entries.at("object0");
 
@@ -115,7 +119,7 @@ TEST_F(AgarNodeTest, ResidentChunksComeFromCache) {
                                  Bytes(chunk_size, 0)));
   }
 
-  const ReadPlan plan = node.plan_read("object0");
+  const ReadPlan plan = node.plan_read(id("object0"));
   EXPECT_EQ(plan.from_cache.size(), opt.chunks.size());
   EXPECT_EQ(plan.chunks_on_path(), 9u);
   EXPECT_TRUE(plan.async_populate.empty());
@@ -133,7 +137,7 @@ TEST_F(AgarNodeTest, AttachToLoopReconfiguresPeriodically) {
   AgarNode node(&backend_, &network_, p);
   node.warm_up();
   node.attach_to_loop(loop_);
-  for (int i = 0; i < 20; ++i) (void)node.plan_read("object0");
+  for (int i = 0; i < 20; ++i) (void)node.plan_read(id("object0"));
   // Each reconfiguration waits for its asynchronous probe round to land,
   // so the pipeline trails the 1 s timer.
   loop_.run_until(5500.0);
@@ -150,7 +154,7 @@ TEST_F(AgarNodeTest, FullHitPlanHasNoBackendFetches) {
   AgarNode node(&backend_, &network_, params(100_MB));
   node.warm_up();
   node.attach_to_loop(loop_);
-  for (int i = 0; i < 100; ++i) (void)node.plan_read("object0");
+  for (int i = 0; i < 100; ++i) (void)node.plan_read(id("object0"));
   run_next_period(node);
   const auto& entries = node.cache_manager().current().entries;
   ASSERT_TRUE(entries.contains("object0"));
@@ -162,7 +166,7 @@ TEST_F(AgarNodeTest, FullHitPlanHasNoBackendFetches) {
     node.cache().put(ChunkId{"object0", idx}.cache_key(),
                      Bytes(chunk_size, 0));
   }
-  const ReadPlan plan = node.plan_read("object0");
+  const ReadPlan plan = node.plan_read(id("object0"));
   EXPECT_EQ(plan.from_cache.size(), 9u);
   EXPECT_TRUE(plan.from_backend.empty());
 }
@@ -171,7 +175,7 @@ TEST_F(AgarNodeTest, ReconfigurationEvictsStaleResidents) {
   AgarNode node(&backend_, &network_, params(5_MB));
   node.warm_up();
   node.attach_to_loop(loop_);
-  for (int i = 0; i < 50; ++i) (void)node.plan_read("object0");
+  for (int i = 0; i < 50; ++i) (void)node.plan_read(id("object0"));
   run_next_period(node);
   const auto opt0 = node.cache_manager().current().entries.at("object0");
   const std::size_t chunk_size = backend_.object_info("object0").chunk_size;
@@ -181,7 +185,7 @@ TEST_F(AgarNodeTest, ReconfigurationEvictsStaleResidents) {
   }
   // Shift the workload for enough periods that object0 decays away.
   for (int period = 0; period < 8; ++period) {
-    for (int i = 0; i < 100; ++i) (void)node.plan_read("object7");
+    for (int i = 0; i < 100; ++i) (void)node.plan_read(id("object7"));
     run_next_period(node);
   }
   EXPECT_FALSE(node.cache_manager().current().entries.contains("object0"));

@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include "chunk_keys.hpp"
+
 #include "api/registry.hpp"
 
 namespace agar::cache {
 namespace {
+
+using test_keys::ck;
 
 Bytes value(std::size_t n, std::uint8_t fill = 0xAB) {
   return Bytes(n, fill);
@@ -17,22 +21,22 @@ Bytes value(std::size_t n, std::uint8_t fill = 0xAB) {
 
 TEST(ArcCache, BasicPutGetErase) {
   ArcCache cache(1024);
-  EXPECT_TRUE(cache.put("a", value(100)));
-  EXPECT_TRUE(cache.contains("a"));
-  const auto hit = cache.get("a");
+  EXPECT_TRUE(cache.put(ck("a"), value(100)));
+  EXPECT_TRUE(cache.contains(ck("a")));
+  const auto hit = cache.get(ck("a"));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->size(), 100u);
   EXPECT_EQ(cache.used_bytes(), 100u);
-  EXPECT_TRUE(cache.erase("a"));
-  EXPECT_FALSE(cache.contains("a"));
+  EXPECT_TRUE(cache.erase(ck("a")));
+  EXPECT_FALSE(cache.contains(ck("a")));
   EXPECT_EQ(cache.used_bytes(), 0u);
 }
 
 TEST(ArcCache, RepeatAccessPromotesToFrequencySide) {
   ArcCache cache(1000);
-  cache.put("once", value(100));
-  cache.put("twice", value(100));
-  (void)cache.get("twice");  // promoted to T2
+  cache.put(ck("once"), value(100));
+  cache.put(ck("twice"), value(100));
+  (void)cache.get(ck("twice"));  // promoted to T2
   EXPECT_EQ(cache.t1_bytes(), 100u);  // "once"
   EXPECT_EQ(cache.t2_bytes(), 100u);  // "twice"
 }
@@ -41,35 +45,35 @@ TEST(ArcCache, OneHitWondersCannotFlushFrequentEntries) {
   // A hot entry re-accessed repeatedly must survive a stream of scan-like
   // one-time keys that exceeds the cache size many times over.
   ArcCache cache(1000);
-  cache.put("hot", value(100));
-  (void)cache.get("hot");
+  cache.put(ck("hot"), value(100));
+  (void)cache.get(ck("hot"));
   for (int i = 0; i < 100; ++i) {
-    cache.put("scan" + std::to_string(i), value(100));
-    (void)cache.get("hot");  // keeps its frequency fresh
+    cache.put(ck("scan" + std::to_string(i)), value(100));
+    (void)cache.get(ck("hot"));  // keeps its frequency fresh
   }
-  EXPECT_TRUE(cache.contains("hot"));
+  EXPECT_TRUE(cache.contains(ck("hot")));
 }
 
 TEST(ArcCache, GhostHitGrowsRecencyTarget) {
   ArcCache cache(300);
-  cache.put("a", value(100));
-  (void)cache.get("a");  // a -> T2, so T1 stays below capacity
-  cache.put("b", value(100));
-  cache.put("c", value(100));
-  cache.put("d", value(100));  // evicts "b" (T1 LRU) to the B1 ghost list
-  EXPECT_FALSE(cache.contains("b"));
+  cache.put(ck("a"), value(100));
+  (void)cache.get(ck("a"));  // a -> T2, so T1 stays below capacity
+  cache.put(ck("b"), value(100));
+  cache.put(ck("c"), value(100));
+  cache.put(ck("d"), value(100));  // evicts "b" (T1 LRU) to the B1 ghost list
+  EXPECT_FALSE(cache.contains(ck("b")));
   const std::size_t before = cache.target_t1_bytes();
   // Re-inserting the ghost is the signal "T1 was too small".
-  cache.put("b", value(100));
+  cache.put(ck("b"), value(100));
   EXPECT_GT(cache.target_t1_bytes(), before);
-  EXPECT_TRUE(cache.contains("b"));
+  EXPECT_TRUE(cache.contains(ck("b")));
 }
 
 TEST(ArcCache, CapacityNeverExceededAndDirectoryBounded) {
   ArcCache cache(500);
   for (int i = 0; i < 300; ++i) {
-    cache.put("k" + std::to_string(i % 60), value(30 + (i % 5) * 10));
-    (void)cache.get("k" + std::to_string((i * 7) % 60));
+    cache.put(ck("k" + std::to_string(i % 60)), value(30 + (i % 5) * 10));
+    (void)cache.get(ck("k" + std::to_string((i * 7) % 60)));
     ASSERT_LE(cache.used_bytes(), cache.capacity_bytes());
     // Ghost directory bounded by ~2x capacity.
     ASSERT_LE(cache.used_bytes() + cache.ghost_bytes(),
@@ -79,16 +83,16 @@ TEST(ArcCache, CapacityNeverExceededAndDirectoryBounded) {
 
 TEST(ArcCache, OversizedValueRejected) {
   ArcCache cache(100);
-  EXPECT_FALSE(cache.put("big", value(200)));
+  EXPECT_FALSE(cache.put(ck("big"), value(200)));
   EXPECT_EQ(cache.stats().rejections, 1u);
   EXPECT_EQ(cache.used_bytes(), 0u);
 }
 
 TEST(ArcCache, OverwriteUpdatesBytesAndValue) {
   ArcCache cache(1000);
-  cache.put("k", value(100, 1));
-  cache.put("k", value(300, 2));
-  const auto hit = cache.get("k");
+  cache.put(ck("k"), value(100, 1));
+  cache.put(ck("k"), value(300, 2));
+  const auto hit = cache.get(ck("k"));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->size(), 300u);
   EXPECT_EQ((*hit)[0], 2);
@@ -98,15 +102,15 @@ TEST(ArcCache, OverwriteUpdatesBytesAndValue) {
 TEST(ArcCache, ClearResetsEverything) {
   ArcCache cache(500);
   for (int i = 0; i < 20; ++i) {
-    cache.put("k" + std::to_string(i), value(50));
+    cache.put(ck("k" + std::to_string(i)), value(50));
   }
   cache.clear();
   EXPECT_TRUE(cache.keys().empty());
   EXPECT_EQ(cache.used_bytes(), 0u);
   EXPECT_EQ(cache.ghost_bytes(), 0u);
   EXPECT_EQ(cache.target_t1_bytes(), 0u);
-  cache.put("fresh", value(50));
-  EXPECT_TRUE(cache.get("fresh").has_value());
+  cache.put(ck("fresh"), value(50));
+  EXPECT_TRUE(cache.get(ck("fresh")).has_value());
 }
 
 TEST(ArcCache, RegisteredAsEngineOnly) {

@@ -46,6 +46,10 @@ class AsyncPipelineTest : public ::testing::Test {
     return c;
   }
 
+  ObjectId id(const ObjectKey& key) const {
+    return backend_.objects().id_of(key);
+  }
+
   sim::Topology topology_;
   sim::EventLoop loop_;
   sim::Network network_;
@@ -53,9 +57,9 @@ class AsyncPipelineTest : public ::testing::Test {
 };
 
 TEST_F(AsyncPipelineTest, CoordinatorCoalescesDuplicateFetches) {
-  core::FetchCoordinator coordinator(&network_);
+  core::FetchCoordinator coordinator(&network_, &backend_.objects());
   std::vector<SimTimeMs> completions;
-  const ChunkId chunk{"object0", 2};
+  const ChunkRef chunk = backend_.chunk(id("object0"), 2);
   ASSERT_EQ(coordinator.fetch(chunk, 0, 1, 1000,
                               [&](auto l) { completions.push_back(*l); }),
             core::FetchStart::kStarted);
@@ -77,8 +81,8 @@ TEST_F(AsyncPipelineTest, OverlappingReadsShareOneWireFetchPerChunk) {
   BackendStrategy s(ctx(sim::region::kFrankfurt));
   std::vector<ReadResult> results;
   // Two reads of the same object start at t=0 — before either completes.
-  s.start_read("object0", [&](const ReadResult& r) { results.push_back(r); });
-  s.start_read("object0", [&](const ReadResult& r) { results.push_back(r); });
+  s.start_read(id("object0"), [&](const ReadResult& r) { results.push_back(r); });
+  s.start_read(id("object0"), [&](const ReadResult& r) { results.push_back(r); });
   loop_.run();
   ASSERT_EQ(results.size(), 2u);
   // 9 chunks went on the wire once; the second read joined all of them.
@@ -104,9 +108,9 @@ TEST_F(AsyncPipelineTest, ReadPathCoalescesWithPopulationFetches) {
                             "lru", api::EngineContext{p.cache_capacity_bytes},
                             api::ParamMap{}));
   std::size_t done = 0;
-  s.start_read("object0", [&](const ReadResult&) { ++done; });
+  s.start_read(id("object0"), [&](const ReadResult&) { ++done; });
   loop_.run_until(1.0);  // first read's fetches now in flight
-  s.start_read("object0", [&](const ReadResult& r) {
+  s.start_read(id("object0"), [&](const ReadResult& r) {
     ++done;
     EXPECT_EQ(r.coalesced_chunks, 9u);
   });
@@ -166,9 +170,9 @@ TEST_F(AsyncPipelineTest, ContendingReadsPayQueueingDelay) {
   network_.set_max_outstanding_per_region(1);
   BackendStrategy s(ctx(sim::region::kFrankfurt));
   std::vector<SimTimeMs> latencies;
-  s.start_read("object0",
+  s.start_read(id("object0"),
                [&](const ReadResult& r) { latencies.push_back(r.latency_ms); });
-  s.start_read("object1",
+  s.start_read(id("object1"),
                [&](const ReadResult& r) { latencies.push_back(r.latency_ms); });
   loop_.run();
   ASSERT_EQ(latencies.size(), 2u);
@@ -180,8 +184,8 @@ TEST_F(AsyncPipelineTest, ContendingReadsPayQueueingDelay) {
 TEST_F(AsyncPipelineTest, CoalescedObserversSeeFailureExactlyOnce) {
   // Several requesters joined one wire fetch; the destination dies
   // mid-flight. Every observer must hear nullopt exactly once.
-  core::FetchCoordinator coordinator(&network_);
-  const ChunkId chunk{"object0", 1};
+  core::FetchCoordinator coordinator(&network_, &backend_.objects());
+  const ChunkId chunk{"object0", 1};  // through the ChunkId adapter
   const RegionId to = sim::region::kTokyo;
   std::size_t failures = 0, successes = 0;
   auto observer = [&](std::optional<SimTimeMs> l) {
@@ -198,7 +202,33 @@ TEST_F(AsyncPipelineTest, CoalescedObserversSeeFailureExactlyOnce) {
   loop_.run();
   EXPECT_EQ(failures, 3u);
   EXPECT_EQ(successes, 0u);
-  EXPECT_FALSE(coordinator.in_flight(chunk));
+  EXPECT_FALSE(coordinator.in_flight(backend_.objects().chunk(chunk)));
+}
+
+TEST_F(AsyncPipelineTest, KeyedAdaptersWorkWithoutAnObjectTable) {
+  // A coordinator built without the backend's table (tools that speak key
+  // strings) interns the keys it is handed; a keyed transport sees them.
+  core::FetchCoordinator coordinator(&network_);
+  std::vector<ChunkId> seen;
+  coordinator.set_transport(
+      [&](const ChunkId& chunk, RegionId from, RegionId to, std::size_t bytes,
+          core::FetchCoordinator::Callback cb) {
+        seen.push_back(chunk);
+        return network_.begin_fetch(from, to, bytes, std::move(cb));
+      });
+  std::size_t done = 0;
+  const auto count = [&](std::optional<SimTimeMs>) { ++done; };
+  EXPECT_EQ(coordinator.fetch(ChunkId{"zebra", 3}, 0, 1, 1000, count),
+            core::FetchStart::kStarted);
+  EXPECT_EQ(coordinator.fetch(ChunkId{"zebra", 3}, 0, 1, 1000, count),
+            core::FetchStart::kJoined);
+  EXPECT_EQ(coordinator.fetch(ChunkId{"apple", 3}, 0, 1, 1000, count),
+            core::FetchStart::kStarted);
+  loop_.run();
+  EXPECT_EQ(done, 3u);
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0], (ChunkId{"zebra", 3}));
+  EXPECT_EQ(seen[1], (ChunkId{"apple", 3}));
 }
 
 TEST_F(AsyncPipelineTest, ExhaustedFallbacksCompleteAsFailedRead) {
@@ -210,7 +240,7 @@ TEST_F(AsyncPipelineTest, ExhaustedFallbacksCompleteAsFailedRead) {
   BackendStrategy s(c);
   ReadResult result;
   bool done = false;
-  s.start_read("object0", [&](const ReadResult& r) {
+  s.start_read(id("object0"), [&](const ReadResult& r) {
     result = r;
     done = true;
   });
@@ -233,7 +263,7 @@ TEST_F(AsyncPipelineTest, MidReadOutageFallsBackToSurvivingRegions) {
   BackendStrategy s(c);
   ReadResult result;
   bool done = false;
-  s.start_read("object0", [&](const ReadResult& r) {
+  s.start_read(id("object0"), [&](const ReadResult& r) {
     result = r;
     done = true;
   });
@@ -251,7 +281,7 @@ TEST_F(AsyncPipelineTest, DownRegionFallsBackAsynchronously) {
   BackendStrategy s(ctx(sim::region::kFrankfurt));
   ReadResult result;
   bool done = false;
-  s.start_read("object0", [&](const ReadResult& r) {
+  s.start_read(id("object0"), [&](const ReadResult& r) {
     result = r;
     done = true;
   });

@@ -128,5 +128,12 @@ TEST(Backend, OverwriteObjectReplacesChunks) {
             deterministic_payload("v2", 800));
 }
 
+TEST(BackendCluster, StripesWiderThanAChunkMaskAreRejected) {
+  const auto rr = std::make_shared<ec::RoundRobinPlacement>(false);
+  EXPECT_NO_THROW(BackendCluster(6, ec::CodecParams{60, 4}, rr));
+  EXPECT_THROW(BackendCluster(6, ec::CodecParams{60, 5}, rr),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace agar::store

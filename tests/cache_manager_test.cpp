@@ -4,10 +4,57 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+
+#include "api/registry.hpp"
 
 namespace agar::core {
 namespace {
+
+/// exact-ewma's math over a plain map, counting snapshot() calls.
+class SnapshotCounter final : public PopularityEstimator {
+ public:
+  static inline std::size_t snapshots = 0;
+
+  explicit SnapshotCounter(const store::ObjectTable* objects)
+      : objects_(objects) {}
+  void record(ObjectId id) override { ++counts_[id]; }
+  void roll_period() override {}
+  [[nodiscard]] double popularity(ObjectId id) const override {
+    const auto it = counts_.find(id);
+    return it == counts_.end() ? 0.0 : static_cast<double>(it->second);
+  }
+  [[nodiscard]] PopularitySnapshot snapshot() const override {
+    ++snapshots;
+    PopularitySnapshot out;
+    for (const auto& [id, n] : counts_) {
+      out.emplace_back(id, static_cast<double>(n));
+    }
+    std::sort(out.begin(), out.end(), [this](const auto& a, const auto& b) {
+      return objects_->key_less(a.first, b.first);
+    });
+    return out;
+  }
+  [[nodiscard]] std::size_t tracked_keys() const override {
+    return counts_.size();
+  }
+  [[nodiscard]] std::string name() const override {
+    return "snapshot-counter";
+  }
+
+ private:
+  const store::ObjectTable* objects_;
+  std::map<ObjectId, std::uint64_t> counts_;
+};
+
+const api::EstimatorRegistration kSnapshotCounter{{
+    "snapshot-counter", "snapshot counter", "test estimator", api::ParamSchema{},
+    [](const api::EstimatorContext& ctx, const api::ParamMap&) {
+      return std::make_unique<SnapshotCounter>(ctx.objects);
+    },
+    {}}};
 
 class CacheManagerTest : public ::testing::Test {
  protected:
@@ -21,13 +68,17 @@ class CacheManagerTest : public ::testing::Test {
     }
   }
 
-  std::unique_ptr<CacheManager> make_manager(std::size_t cache_bytes) {
+  std::unique_ptr<CacheManager> make_manager(
+      std::size_t cache_bytes,
+      const std::string& estimator = "exact-ewma") {
     RegionManagerParams rp;
     rp.local_region = sim::region::kFrankfurt;
     region_manager_ =
         std::make_unique<RegionManager>(&backend_, &network_, rp);
     region_manager_->probe();
-    monitor_ = std::make_unique<RequestMonitor>();
+    RequestMonitorParams mp;
+    mp.estimator = estimator;
+    monitor_ = std::make_unique<RequestMonitor>(mp, &backend_.objects());
     cache_ = std::make_unique<cache::StaticConfigCache>(cache_bytes);
     CacheManagerParams cp;
     cp.candidate_weights = {1, 3, 5, 7, 9};
@@ -46,7 +97,7 @@ class CacheManagerTest : public ::testing::Test {
 TEST_F(CacheManagerTest, NullDependenciesThrow) {
   RegionManagerParams rp;
   RegionManager rm(&backend_, &network_, rp);
-  RequestMonitor mon;
+  RequestMonitor mon({}, &backend_.objects());
   cache::StaticConfigCache cache(1_MB);
   CacheManagerParams cp;
   EXPECT_THROW(CacheManager(nullptr, &rm, &mon, &cache, cp),
@@ -101,9 +152,11 @@ TEST_F(CacheManagerTest, HotterKeysGetAtLeastAsManyChunks) {
   }
 }
 
-TEST_F(CacheManagerTest, UnknownKeysAreIgnored) {
+TEST_F(CacheManagerTest, UnknownKeysNeverReachPlanning) {
+  // The monitor counts object ids; a key the backend never interned has
+  // none, so the key-string adapter refuses it instead of tracking it.
   auto mgr = make_manager(10_MB);
-  for (int i = 0; i < 50; ++i) monitor_->record_access("not-in-backend");
+  EXPECT_THROW(monitor_->record_access("not-in-backend"), std::out_of_range);
   const auto& config = mgr->reconfigure();
   EXPECT_FALSE(config.entries.contains("not-in-backend"));
 }
@@ -136,7 +189,9 @@ TEST_F(CacheManagerTest, InstalledKeysMatchConfiguration) {
   for (const auto& [key, opt] : config.entries) {
     chunk_keys += opt.chunks.size();
     for (const ChunkIndex c : opt.chunks) {
-      EXPECT_TRUE(cache_->is_configured(ChunkId{key, c}.cache_key()));
+      EXPECT_TRUE(cache_->is_configured(backend_.objects().chunk(ChunkId{key, c})));
+      EXPECT_TRUE(config.contains_chunk(key, c));
+      EXPECT_TRUE(config.contains_chunk(opt.object, c));
     }
   }
   EXPECT_EQ(cache_->configured_size(), chunk_keys);
@@ -146,9 +201,10 @@ TEST_F(CacheManagerTest, ReconfigureRollsThePeriod) {
   auto mgr = make_manager(10_MB);
   for (int i = 0; i < 100; ++i) monitor_->record_access("object0");
   mgr->reconfigure();
-  EXPECT_DOUBLE_EQ(monitor_->popularity("object0"), 80.0);
+  const ObjectId id = backend_.objects().id_of("object0");
+  EXPECT_DOUBLE_EQ(monitor_->popularity(id), 80.0);
   mgr->reconfigure();  // idle period decays popularity
-  EXPECT_DOUBLE_EQ(monitor_->popularity("object0"), 16.0);
+  EXPECT_DOUBLE_EQ(monitor_->popularity(id), 16.0);
 }
 
 TEST_F(CacheManagerTest, AdaptsWhenPopularityShifts) {
@@ -203,6 +259,18 @@ TEST_F(CacheManagerTest, LargerCacheNeverLowersValue) {
   }
   const double large_value = large->reconfigure().total_value;
   EXPECT_GE(large_value, small_value - 1e-9);
+}
+
+TEST_F(CacheManagerTest, OneMonitorSnapshotPerReconfiguration) {
+  // The quantum and the option groups come from one snapshot: each
+  // snapshot copies and sorts every tracked key.
+  auto mgr = make_manager(10_MB, "snapshot-counter");
+  for (int i = 0; i < 30; ++i) monitor_->record_access("object0");
+  for (int i = 0; i < 10; ++i) monitor_->record_access("object4");
+  SnapshotCounter::snapshots = 0;
+  const auto& config = mgr->reconfigure();
+  EXPECT_EQ(SnapshotCounter::snapshots, 1u);
+  EXPECT_FALSE(config.entries.empty());
 }
 
 }  // namespace

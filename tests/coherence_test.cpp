@@ -33,7 +33,7 @@ class CoherenceTest : public ::testing::Test {
   CoherenceTest()
       : topology_(sim::aws_six_regions()),
         network_(sim::LatencyModel(&topology_, {}, 21)),
-        coordinator_(6, &network_),
+        coordinator_(6, &network_, &objects_),
         fra_cache_(1_MB),
         syd_cache_(1_MB) {
     coordinator_.attach_cache(sim::region::kFrankfurt, &fra_cache_, 12);
@@ -41,13 +41,19 @@ class CoherenceTest : public ::testing::Test {
   }
 
   void populate(cache::CacheEngine& cache, const ObjectKey& key) {
+    objects_.intern(key);
     for (ChunkIndex i = 0; i < 12; ++i) {
-      cache.put(ChunkId{key, i}.cache_key(), Bytes(16, 1));
+      cache.put(chunk(key, i), Bytes(16, 1));
     }
+  }
+
+  ChunkRef chunk(const ObjectKey& key, ChunkIndex i) const {
+    return objects_.chunk(ChunkId{key, i});
   }
 
   sim::Topology topology_;
   sim::Network network_;
+  store::ObjectTable objects_;
   CoherenceCoordinator coordinator_;
   cache::LruCache fra_cache_;
   cache::LruCache syd_cache_;
@@ -72,10 +78,10 @@ TEST_F(CoherenceTest, WriteInvalidatesAllRegionCaches) {
   populate(fra_cache_, "other");
   ASSERT_TRUE(coordinator_.commit_write(0, "obj").has_value());
   for (ChunkIndex i = 0; i < 12; ++i) {
-    EXPECT_FALSE(fra_cache_.contains(ChunkId{"obj", i}.cache_key()));
-    EXPECT_FALSE(syd_cache_.contains(ChunkId{"obj", i}.cache_key()));
+    EXPECT_FALSE(fra_cache_.contains(chunk("obj", i)));
+    EXPECT_FALSE(syd_cache_.contains(chunk("obj", i)));
     // Unrelated keys untouched.
-    EXPECT_TRUE(fra_cache_.contains(ChunkId{"other", i}.cache_key()));
+    EXPECT_TRUE(fra_cache_.contains(chunk("other", i)));
   }
   EXPECT_EQ(coordinator_.invalidations_applied(), 24u);
 }
@@ -94,7 +100,7 @@ TEST_F(CoherenceTest, NoQuorumNoCommit) {
   populate(fra_cache_, "obj");
   EXPECT_FALSE(coordinator_.commit_write(0, "obj").has_value());
   // Failed commit must not invalidate.
-  EXPECT_TRUE(fra_cache_.contains(ChunkId{"obj", 0}.cache_key()));
+  EXPECT_TRUE(fra_cache_.contains(chunk("obj", 0)));
   EXPECT_EQ(coordinator_.version("obj"), 0u);
 }
 
@@ -133,19 +139,18 @@ TEST_F(CoherenceTest, InvalidationsApplyInLogSlotOrder) {
 
 TEST_F(CoherenceTest, StaticConfigCacheAlsoInvalidates) {
   cache::StaticConfigCache agar_cache(1_MB);
-  std::unordered_set<std::string> configured;
-  for (ChunkIndex i = 0; i < 12; ++i) {
-    configured.insert(ChunkId{"obj", i}.cache_key());
-  }
+  const ObjectId obj = objects_.intern("obj");
+  std::vector<ChunkMask> configured(obj + 1, 0);
+  configured[obj] = (ChunkMask{1} << 12) - 1;  // all twelve chunks
   agar_cache.install_configuration(std::move(configured));
   for (ChunkIndex i = 0; i < 12; ++i) {
-    agar_cache.put(ChunkId{"obj", i}.cache_key(), Bytes(8, 2));
+    agar_cache.put(chunk("obj", i), Bytes(8, 2));
   }
   coordinator_.attach_cache(sim::region::kDublin, &agar_cache, 12);
   ASSERT_TRUE(coordinator_.commit_write(0, "obj").has_value());
   EXPECT_EQ(agar_cache.used_bytes(), 0u);
   // The configuration itself survives: the next read repopulates.
-  EXPECT_TRUE(agar_cache.is_configured(ChunkId{"obj", 0}.cache_key()));
+  EXPECT_TRUE(agar_cache.is_configured(chunk("obj", 0)));
 }
 
 }  // namespace

@@ -50,13 +50,24 @@ class CollaborationTest : public ::testing::Test {
   void configure_hot_object(
       std::initializer_list<client::AgarStrategy*> caches) {
     for (auto* cache : caches) {
-      for (int i = 0; i < 50; ++i) (void)cache->node().plan_read("object0");
+      for (int i = 0; i < 50; ++i) (void)cache->node().plan_read(object0());
       cache->node().attach_to_loop(loop_);
     }
     loop_.run_until(45'000.0);
     for (auto* cache : caches) {
       EXPECT_EQ(cache->node().cache_manager().reconfigurations(), 1u);
     }
+  }
+
+  ObjectId object0() const { return backend_.objects().id_of("object0"); }
+
+  /// A broadcast configuring exactly chunk `index` of object0.
+  collab::PeerInfo peer(RegionId region, ChunkIndex index) const {
+    collab::PeerInfo info;
+    info.region = region;
+    info.configured.assign(object0() + 1, 0);
+    info.configured[object0()] = ChunkMask{1} << index;
+    return info;
   }
 
   sim::EventLoop loop_;
@@ -75,7 +86,7 @@ TEST_F(CollaborationTest, BroadcastContainsConfiguredChunks) {
        cache->node().cache_manager().current().entries) {
     expected += opt.chunks.size();
   }
-  EXPECT_EQ(info.configured_chunks.size(), expected);
+  EXPECT_EQ(info.configured_chunks(), expected);
   EXPECT_FALSE(info.popularity.empty());
 }
 
@@ -96,9 +107,7 @@ TEST_F(CollaborationTest, OverlapBetweenSimilarWorkloads) {
 TEST_F(CollaborationTest, PeerAwareCostsDiscountNearbyPeerChunks) {
   // Dublin caches chunk "object0#4"; a Frankfurt planner should see that
   // chunk cheaper than its Tokyo home region.
-  collab::PeerInfo dublin;
-  dublin.region = sim::region::kDublin;
-  dublin.configured_chunks.insert(ChunkId{"object0", 4}.cache_key());
+  const collab::PeerInfo dublin = peer(sim::region::kDublin, 4);
 
   std::vector<core::ChunkCost> costs;
   for (ChunkIndex i = 0; i < 12; ++i) {
@@ -108,7 +117,7 @@ TEST_F(CollaborationTest, PeerAwareCostsDiscountNearbyPeerChunks) {
         topology_.base_latency_ms(sim::region::kFrankfurt, region)});
   }
   const auto adjusted =
-      collab::peer_aware_costs(costs, "object0", {dublin}, topology_,
+      collab::peer_aware_costs(costs, object0(), {dublin}, topology_,
                                sim::region::kFrankfurt, 0.75, 400.0);
   // Chunk 4 (Tokyo, 1130 ms base) now costs the Dublin peer fetch:
   // 100 ms * 0.75 = 75 ms.
@@ -118,26 +127,22 @@ TEST_F(CollaborationTest, PeerAwareCostsDiscountNearbyPeerChunks) {
 }
 
 TEST_F(CollaborationTest, PeerAwareCostsIgnoreDistantPeers) {
-  collab::PeerInfo sydney;
-  sydney.region = sim::region::kSydney;
-  sydney.configured_chunks.insert(ChunkId{"object0", 4}.cache_key());
+  const collab::PeerInfo sydney = peer(sim::region::kSydney, 4);
 
   std::vector<core::ChunkCost> costs{{4, sim::region::kTokyo, 1100.0}};
   // Sydney is 1200 ms from Frankfurt > max_peer_ms 400: no discount.
   const auto adjusted = collab::peer_aware_costs(
-      costs, "object0", {sydney}, topology_, sim::region::kFrankfurt);
+      costs, object0(), {sydney}, topology_, sim::region::kFrankfurt);
   EXPECT_DOUBLE_EQ(adjusted[0].latency_ms, 1100.0);
 }
 
 TEST_F(CollaborationTest, PeerAwareCostsNeverIncrease) {
-  collab::PeerInfo dublin;
-  dublin.region = sim::region::kDublin;
-  dublin.configured_chunks.insert(ChunkId{"object0", 0}.cache_key());
+  const collab::PeerInfo dublin = peer(sim::region::kDublin, 0);
   // Local chunk already cheaper than the peer fetch (100 ms * 0.75 = 75):
   // keep the original.
   std::vector<core::ChunkCost> costs{{0, sim::region::kFrankfurt, 70.0}};
   const auto adjusted = collab::peer_aware_costs(
-      costs, "object0", {dublin}, topology_, sim::region::kFrankfurt);
+      costs, object0(), {dublin}, topology_, sim::region::kFrankfurt);
   EXPECT_DOUBLE_EQ(adjusted[0].latency_ms, 70.0);
 }
 

@@ -321,5 +321,13 @@ TEST(Json, ParserHandlesEscapesAndNesting) {
                std::invalid_argument);
 }
 
+TEST(ExperimentSpec, StripesWiderThanAChunkMaskAreRejected) {
+  // A configuration holds one 64-bit chunk mask per object.
+  EXPECT_NO_THROW(
+      ExperimentSpec::from_pairs({"rs_k=60", "rs_m=4"}).validate());
+  EXPECT_THROW(ExperimentSpec::from_pairs({"rs_k=60", "rs_m=5"}).validate(),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace agar::api

@@ -4,148 +4,151 @@
 
 #include <gtest/gtest.h>
 
+#include "chunk_keys.hpp"
+
 namespace agar::cache {
 namespace {
+
+using test_keys::ck;
 
 Bytes val(std::size_t n) { return Bytes(n, 0x11); }
 
 TEST(LfuCache, PutGetRoundTrip) {
   LfuCache c(100);
-  EXPECT_TRUE(c.put("a", val(10)));
-  EXPECT_TRUE(c.get("a").has_value());
+  EXPECT_TRUE(c.put(ck("a"), val(10)));
+  EXPECT_TRUE(c.get(ck("a")).has_value());
 }
 
 TEST(LfuCache, EvictsLeastFrequentlyUsed) {
   LfuCache c(30);
-  c.put("a", val(10));
-  c.put("b", val(10));
-  c.put("c", val(10));
+  c.put(ck("a"), val(10));
+  c.put(ck("b"), val(10));
+  c.put(ck("c"), val(10));
   // Bump a and c.
-  (void)c.get("a");
-  (void)c.get("c");
-  c.put("d", val(10));  // evicts b (freq 1, least)
-  EXPECT_TRUE(c.contains("a"));
-  EXPECT_FALSE(c.contains("b"));
-  EXPECT_TRUE(c.contains("c"));
-  EXPECT_TRUE(c.contains("d"));
+  (void)c.get(ck("a"));
+  (void)c.get(ck("c"));
+  c.put(ck("d"), val(10));  // evicts b (freq 1, least)
+  EXPECT_TRUE(c.contains(ck("a")));
+  EXPECT_FALSE(c.contains(ck("b")));
+  EXPECT_TRUE(c.contains(ck("c")));
+  EXPECT_TRUE(c.contains(ck("d")));
 }
 
 TEST(LfuCache, FrequencyCountsGetsAndPuts) {
   LfuCache c(100);
-  c.put("a", val(10));
-  EXPECT_EQ(c.frequency("a"), 1u);
-  (void)c.get("a");
-  (void)c.get("a");
-  EXPECT_EQ(c.frequency("a"), 3u);
-  c.put("a", val(10));  // overwrite also promotes
-  EXPECT_EQ(c.frequency("a"), 4u);
-  EXPECT_EQ(c.frequency("missing"), 0u);
+  c.put(ck("a"), val(10));
+  EXPECT_EQ(c.frequency(ck("a")), 1u);
+  (void)c.get(ck("a"));
+  (void)c.get(ck("a"));
+  EXPECT_EQ(c.frequency(ck("a")), 3u);
+  c.put(ck("a"), val(10));  // overwrite also promotes
+  EXPECT_EQ(c.frequency(ck("a")), 4u);
+  EXPECT_EQ(c.frequency(ck("missing")), 0u);
 }
 
 TEST(LfuCache, TieBreaksByRecency) {
   LfuCache c(30);
-  c.put("a", val(10));
-  c.put("b", val(10));
-  c.put("c", val(10));
+  c.put(ck("a"), val(10));
+  c.put(ck("b"), val(10));
+  c.put(ck("c"), val(10));
   // All freq 1; 'a' is least recently touched.
-  c.put("d", val(10));
-  EXPECT_FALSE(c.contains("a"));
-  EXPECT_TRUE(c.contains("b"));
+  c.put(ck("d"), val(10));
+  EXPECT_FALSE(c.contains(ck("a")));
+  EXPECT_TRUE(c.contains(ck("b")));
 }
 
 TEST(LfuCache, HeavyHitterSurvivesScan) {
   // The classic LFU advantage: a frequently accessed key survives a scan of
   // one-shot keys (where LRU would evict it).
   LfuCache c(50);
-  c.put("hot", val(10));
-  for (int i = 0; i < 20; ++i) (void)c.get("hot");
+  c.put(ck("hot"), val(10));
+  for (int i = 0; i < 20; ++i) (void)c.get(ck("hot"));
   for (int i = 0; i < 100; ++i) {
-    c.put("scan" + std::to_string(i), val(10));
+    c.put(ck("scan" + std::to_string(i)), val(10));
   }
-  EXPECT_TRUE(c.contains("hot"));
+  EXPECT_TRUE(c.contains(ck("hot")));
 }
 
 TEST(LfuCache, NeverExceedsCapacity) {
   LfuCache c(75);
   for (int i = 0; i < 500; ++i) {
-    c.put("k" + std::to_string(i % 31), val(1 + i % 19));
+    c.put(ck("k" + std::to_string(i % 31)), val(1 + i % 19));
     ASSERT_LE(c.used_bytes(), 75u);
   }
 }
 
 TEST(LfuCache, OversizedRejected) {
   LfuCache c(10);
-  EXPECT_FALSE(c.put("big", val(20)));
+  EXPECT_FALSE(c.put(ck("big"), val(20)));
   EXPECT_EQ(c.stats().rejections, 1u);
 }
 
 TEST(LfuCache, EraseRemovesEntry) {
   LfuCache c(100);
-  c.put("a", val(10));
-  (void)c.get("a");
-  EXPECT_TRUE(c.erase("a"));
-  EXPECT_FALSE(c.erase("a"));
-  EXPECT_EQ(c.frequency("a"), 0u);
+  c.put(ck("a"), val(10));
+  (void)c.get(ck("a"));
+  EXPECT_TRUE(c.erase(ck("a")));
+  EXPECT_FALSE(c.erase(ck("a")));
+  EXPECT_EQ(c.frequency(ck("a")), 0u);
   EXPECT_EQ(c.used_bytes(), 0u);
 }
 
 TEST(LfuCache, ClearResetsState) {
   LfuCache c(100);
-  c.put("a", val(10));
-  c.put("b", val(20));
+  c.put(ck("a"), val(10));
+  c.put(ck("b"), val(20));
   c.clear();
   EXPECT_EQ(c.used_bytes(), 0u);
   EXPECT_TRUE(c.keys().empty());
   // Frequencies do not survive clear.
-  c.put("a", val(10));
-  EXPECT_EQ(c.frequency("a"), 1u);
+  c.put(ck("a"), val(10));
+  EXPECT_EQ(c.frequency(ck("a")), 1u);
 }
 
 TEST(LfuCache, EvictionCandidateIsLowestFreqLeastRecent) {
   LfuCache c(100);
   EXPECT_FALSE(c.eviction_candidate().has_value());
-  c.put("a", val(10));
-  c.put("b", val(10));
-  (void)c.get("a");
-  EXPECT_EQ(c.eviction_candidate(), "b");
-  (void)c.get("b");
-  (void)c.get("b");
-  EXPECT_EQ(c.eviction_candidate(), "a");
+  c.put(ck("a"), val(10));
+  c.put(ck("b"), val(10));
+  (void)c.get(ck("a"));
+  EXPECT_EQ(c.eviction_candidate(), ck("b"));
+  (void)c.get(ck("b"));
+  (void)c.get(ck("b"));
+  EXPECT_EQ(c.eviction_candidate(), ck("a"));
 }
 
 TEST(LfuCache, OverwriteUpdatesByteAccounting) {
   LfuCache c(100);
-  c.put("a", val(10));
-  c.put("a", val(50));
+  c.put(ck("a"), val(10));
+  c.put(ck("a"), val(50));
   EXPECT_EQ(c.used_bytes(), 50u);
 }
 
 TEST(LfuCache, KeysListsAllResidents) {
   LfuCache c(100);
-  c.put("a", val(10));
-  c.put("b", val(10));
-  (void)c.get("b");
-  auto keys = c.keys();
-  std::sort(keys.begin(), keys.end());
+  c.put(ck("a"), val(10));
+  c.put(ck("b"), val(10));
+  (void)c.get(ck("b"));
+  const auto keys = test_keys::names_of(c.keys());
   EXPECT_EQ(keys, (std::vector<std::string>{"a", "b"}));
 }
 
 TEST(LfuCache, StatsHitRate) {
   LfuCache c(100);
-  c.put("a", val(10));
-  (void)c.get("a");
-  (void)c.get("a");
-  (void)c.get("x");
+  c.put(ck("a"), val(10));
+  (void)c.get(ck("a"));
+  (void)c.get(ck("a"));
+  (void)c.get(ck("x"));
   EXPECT_EQ(c.stats().hits, 2u);
   EXPECT_EQ(c.stats().misses, 1u);
 }
 
 TEST(LfuCache, MixedSizesEvictUntilFit) {
   LfuCache c(100);
-  c.put("small1", val(10));
-  c.put("small2", val(10));
-  c.put("big", val(90));  // must evict both smalls
-  EXPECT_TRUE(c.contains("big"));
+  c.put(ck("small1"), val(10));
+  c.put(ck("small2"), val(10));
+  c.put(ck("big"), val(90));  // must evict both smalls
+  EXPECT_TRUE(c.contains(ck("big")));
   EXPECT_LE(c.used_bytes(), 100u);
 }
 
@@ -154,9 +157,9 @@ TEST(LfuCache, StressManyOperations) {
   for (int i = 0; i < 20000; ++i) {
     const std::string k = "k" + std::to_string(i % 53);
     if (i % 3 == 0) {
-      c.put(k, val(1 + i % 29));
+      c.put(ck(k), val(1 + i % 29));
     } else {
-      (void)c.get(k);
+      (void)c.get(ck(k));
     }
     ASSERT_LE(c.used_bytes(), 500u);
   }

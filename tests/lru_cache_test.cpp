@@ -3,103 +3,107 @@
 
 #include <gtest/gtest.h>
 
+#include "chunk_keys.hpp"
+
 namespace agar::cache {
 namespace {
+
+using test_keys::ck;
 
 Bytes val(std::size_t n, std::uint8_t fill = 0xAB) { return Bytes(n, fill); }
 
 TEST(LruCache, PutGetRoundTrip) {
   LruCache c(100);
-  EXPECT_TRUE(c.put("a", val(10, 1)));
-  const auto v = c.get("a");
+  EXPECT_TRUE(c.put(ck("a"), val(10, 1)));
+  const auto v = c.get(ck("a"));
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ((*v)[0], 1);
 }
 
 TEST(LruCache, MissReturnsNullopt) {
   LruCache c(100);
-  EXPECT_FALSE(c.get("nothing").has_value());
+  EXPECT_FALSE(c.get(ck("nothing")).has_value());
   EXPECT_EQ(c.stats().misses, 1u);
 }
 
 TEST(LruCache, EvictsLeastRecentlyUsed) {
   LruCache c(30);
-  c.put("a", val(10));
-  c.put("b", val(10));
-  c.put("c", val(10));
+  c.put(ck("a"), val(10));
+  c.put(ck("b"), val(10));
+  c.put(ck("c"), val(10));
   // Touch "a" so "b" is now least recent.
-  (void)c.get("a");
-  c.put("d", val(10));  // evicts "b"
-  EXPECT_TRUE(c.contains("a"));
-  EXPECT_FALSE(c.contains("b"));
-  EXPECT_TRUE(c.contains("c"));
-  EXPECT_TRUE(c.contains("d"));
+  (void)c.get(ck("a"));
+  c.put(ck("d"), val(10));  // evicts "b"
+  EXPECT_TRUE(c.contains(ck("a")));
+  EXPECT_FALSE(c.contains(ck("b")));
+  EXPECT_TRUE(c.contains(ck("c")));
+  EXPECT_TRUE(c.contains(ck("d")));
 }
 
 TEST(LruCache, PutRefreshesRecency) {
   LruCache c(30);
-  c.put("a", val(10));
-  c.put("b", val(10));
-  c.put("c", val(10));
-  c.put("a", val(10));  // refresh
-  c.put("d", val(10));  // evicts "b"
-  EXPECT_TRUE(c.contains("a"));
-  EXPECT_FALSE(c.contains("b"));
+  c.put(ck("a"), val(10));
+  c.put(ck("b"), val(10));
+  c.put(ck("c"), val(10));
+  c.put(ck("a"), val(10));  // refresh
+  c.put(ck("d"), val(10));  // evicts "b"
+  EXPECT_TRUE(c.contains(ck("a")));
+  EXPECT_FALSE(c.contains(ck("b")));
 }
 
 TEST(LruCache, NeverExceedsCapacity) {
   LruCache c(55);
   for (int i = 0; i < 100; ++i) {
-    c.put("k" + std::to_string(i), val(10));
+    c.put(ck("k" + std::to_string(i)), val(10));
     EXPECT_LE(c.used_bytes(), c.capacity_bytes());
   }
 }
 
 TEST(LruCache, OversizedValueRejected) {
   LruCache c(10);
-  EXPECT_FALSE(c.put("big", val(11)));
+  EXPECT_FALSE(c.put(ck("big"), val(11)));
   EXPECT_EQ(c.stats().rejections, 1u);
   EXPECT_EQ(c.used_bytes(), 0u);
 }
 
 TEST(LruCache, ExactCapacityFits) {
   LruCache c(10);
-  EXPECT_TRUE(c.put("exact", val(10)));
+  EXPECT_TRUE(c.put(ck("exact"), val(10)));
   EXPECT_EQ(c.used_bytes(), 10u);
 }
 
 TEST(LruCache, OverwriteChangesSizeAccounting) {
   LruCache c(100);
-  c.put("a", val(10));
-  c.put("a", val(60));
+  c.put(ck("a"), val(10));
+  c.put(ck("a"), val(60));
   EXPECT_EQ(c.used_bytes(), 60u);
-  c.put("a", val(5));
+  c.put(ck("a"), val(5));
   EXPECT_EQ(c.used_bytes(), 5u);
 }
 
 TEST(LruCache, OverwriteLargerMayEvictOthers) {
   LruCache c(30);
-  c.put("a", val(10));
-  c.put("b", val(10));
-  c.put("c", val(10));
-  c.put("a", val(25));  // grows; must evict b (LRU among others)
+  c.put(ck("a"), val(10));
+  c.put(ck("b"), val(10));
+  c.put(ck("c"), val(10));
+  c.put(ck("a"), val(25));  // grows; must evict b (LRU among others)
   EXPECT_LE(c.used_bytes(), 30u);
-  EXPECT_TRUE(c.contains("a"));
+  EXPECT_TRUE(c.contains(ck("a")));
 }
 
 TEST(LruCache, EraseFreesSpace) {
   LruCache c(20);
-  c.put("a", val(10));
-  EXPECT_TRUE(c.erase("a"));
-  EXPECT_FALSE(c.erase("a"));
+  c.put(ck("a"), val(10));
+  EXPECT_TRUE(c.erase(ck("a")));
+  EXPECT_FALSE(c.erase(ck("a")));
   EXPECT_EQ(c.used_bytes(), 0u);
-  EXPECT_FALSE(c.contains("a"));
+  EXPECT_FALSE(c.contains(ck("a")));
 }
 
 TEST(LruCache, ClearEmptiesEverything) {
   LruCache c(100);
-  c.put("a", val(10));
-  c.put("b", val(10));
+  c.put(ck("a"), val(10));
+  c.put(ck("b"), val(10));
   c.clear();
   EXPECT_EQ(c.used_bytes(), 0u);
   EXPECT_TRUE(c.keys().empty());
@@ -109,20 +113,20 @@ TEST(LruCache, ClearEmptiesEverything) {
 TEST(LruCache, EvictionCandidateIsOldest) {
   LruCache c(100);
   EXPECT_FALSE(c.eviction_candidate().has_value());
-  c.put("a", val(10));
-  c.put("b", val(10));
-  EXPECT_EQ(c.eviction_candidate(), "a");
-  (void)c.get("a");
-  EXPECT_EQ(c.eviction_candidate(), "b");
+  c.put(ck("a"), val(10));
+  c.put(ck("b"), val(10));
+  EXPECT_EQ(c.eviction_candidate(), ck("a"));
+  (void)c.get(ck("a"));
+  EXPECT_EQ(c.eviction_candidate(), ck("b"));
 }
 
 TEST(LruCache, StatsAccumulate) {
   LruCache c(20);
-  c.put("a", val(10));
-  c.put("b", val(10));
-  (void)c.get("a");   // hit
-  (void)c.get("zz");  // miss
-  c.put("c", val(10));  // evicts one
+  c.put(ck("a"), val(10));
+  c.put(ck("b"), val(10));
+  (void)c.get(ck("a"));   // hit
+  (void)c.get(ck("zz"));  // miss
+  c.put(ck("c"), val(10));  // evicts one
   const auto& s = c.stats();
   EXPECT_EQ(s.puts, 3u);
   EXPECT_EQ(s.admissions, 3u);
@@ -134,27 +138,26 @@ TEST(LruCache, StatsAccumulate) {
 
 TEST(LruCache, KeysReflectsResidency) {
   LruCache c(100);
-  c.put("a", val(10));
-  c.put("b", val(10));
-  auto keys = c.keys();
-  std::sort(keys.begin(), keys.end());
+  c.put(ck("a"), val(10));
+  c.put(ck("b"), val(10));
+  const auto keys = test_keys::names_of(c.keys());
   EXPECT_EQ(keys, (std::vector<std::string>{"a", "b"}));
 }
 
 TEST(LruCache, ContainsHasNoRecencyEffect) {
   LruCache c(20);
-  c.put("a", val(10));
-  c.put("b", val(10));
+  c.put(ck("a"), val(10));
+  c.put(ck("b"), val(10));
   // contains("a") must NOT refresh "a".
-  EXPECT_TRUE(c.contains("a"));
-  c.put("c", val(10));  // evicts "a" (still LRU)
-  EXPECT_FALSE(c.contains("a"));
+  EXPECT_TRUE(c.contains(ck("a")));
+  c.put(ck("c"), val(10));  // evicts "a" (still LRU)
+  EXPECT_FALSE(c.contains(ck("a")));
 }
 
 TEST(LruCache, ManyInsertionsStressCapacity) {
   LruCache c(1000);
   for (int i = 0; i < 10000; ++i) {
-    c.put("k" + std::to_string(i % 177), val(1 + i % 97));
+    c.put(ck("k" + std::to_string(i % 177)), val(1 + i % 97));
     ASSERT_LE(c.used_bytes(), 1000u);
   }
 }

@@ -22,6 +22,7 @@
 #include "api/api.hpp"
 #include "client/report.hpp"
 #include "client/workload.hpp"
+#include "spec_runner.hpp"
 
 namespace agar {
 namespace {
@@ -38,9 +39,8 @@ using Column = std::string (*)(const api::ExperimentSpec&);
 
 /// `name` is a spec file's path under examples/specs/, without ".json".
 Results run_spec(const std::string& name, Column column) {
-  const std::string path = AGAR_SOURCE_DIR "/examples/specs/" + name + ".json";
   Results results;
-  for (auto& report : api::run_all(api::load_spec_file(path))) {
+  for (auto& report : spec_test::run_spec_file(name + ".json")) {
     const auto key = std::pair{report.label(), column(report.spec)};
     EXPECT_TRUE(results.emplace(key, std::move(report.result)).second)
         << name << ": two runs of " << key.first << " at " << key.second;

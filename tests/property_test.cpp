@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "api/api.hpp"
+#include "chunk_keys.hpp"
 #include "cache/static_cache.hpp"
 #include "client/runner.hpp"
 #include "common/rng.hpp"
@@ -52,9 +53,9 @@ TEST_P(EngineInvariants, CapacityNeverExceededUnderChurn) {
   for (int i = 0; i < 5000; ++i) {
     const std::string key = "k" + std::to_string(rng.next_below(97));
     if (rng.next_below(2) == 0) {
-      engine->put(key, Bytes(1 + rng.next_below(61), 0xAA));
+      engine->put(test_keys::ck(key), Bytes(1 + rng.next_below(61), 0xAA));
     } else {
-      (void)engine->get(key);
+      (void)engine->get(test_keys::ck(key));
     }
     ASSERT_LE(engine->used_bytes(), engine->capacity_bytes());
   }
@@ -64,13 +65,13 @@ TEST_P(EngineInvariants, UsedBytesMatchesResidentEntries) {
   auto engine = make_engine(GetParam());
   Rng rng(102);
   for (int i = 0; i < 1000; ++i) {
-    engine->put("k" + std::to_string(rng.next_below(37)),
+    engine->put(test_keys::ck("k" + std::to_string(rng.next_below(37))),
                 Bytes(1 + rng.next_below(31), 1));
   }
   std::size_t total = 0;
   for (const auto& key : engine->keys()) {
     const auto v = engine->get(key);
-    ASSERT_TRUE(v.has_value()) << key;
+    ASSERT_TRUE(v.has_value()) << key.object;
     total += v->size();
   }
   EXPECT_EQ(total, engine->used_bytes());
@@ -78,9 +79,9 @@ TEST_P(EngineInvariants, UsedBytesMatchesResidentEntries) {
 
 TEST_P(EngineInvariants, GetAfterPutReturnsLatestValue) {
   auto engine = make_engine(GetParam());
-  engine->put("key", Bytes(10, 1));
-  engine->put("key", Bytes(20, 2));
-  const auto v = engine->get("key");
+  engine->put(test_keys::ck("key"), Bytes(10, 1));
+  engine->put(test_keys::ck("key"), Bytes(20, 2));
+  const auto v = engine->get(test_keys::ck("key"));
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->size(), 20u);
   EXPECT_EQ((*v)[0], 2);
@@ -88,23 +89,23 @@ TEST_P(EngineInvariants, GetAfterPutReturnsLatestValue) {
 
 TEST_P(EngineInvariants, EraseThenGetMisses) {
   auto engine = make_engine(GetParam());
-  engine->put("key", Bytes(10, 1));
-  EXPECT_TRUE(engine->erase("key"));
-  EXPECT_FALSE(engine->get("key").has_value());
+  engine->put(test_keys::ck("key"), Bytes(10, 1));
+  EXPECT_TRUE(engine->erase(test_keys::ck("key")));
+  EXPECT_FALSE(engine->get(test_keys::ck("key")).has_value());
   EXPECT_EQ(engine->used_bytes(), 0u);
 }
 
 TEST_P(EngineInvariants, ClearLeavesEmptyEngine) {
   auto engine = make_engine(GetParam());
   for (int i = 0; i < 20; ++i) {
-    engine->put("k" + std::to_string(i), Bytes(8, 3));
+    engine->put(test_keys::ck("k" + std::to_string(i)), Bytes(8, 3));
   }
   engine->clear();
   EXPECT_TRUE(engine->keys().empty());
   EXPECT_EQ(engine->used_bytes(), 0u);
   // Still usable afterwards.
-  engine->put("fresh", Bytes(8, 4));
-  EXPECT_TRUE(engine->get("fresh").has_value());
+  engine->put(test_keys::ck("fresh"), Bytes(8, 4));
+  EXPECT_TRUE(engine->get(test_keys::ck("fresh")).has_value());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -231,7 +232,7 @@ TEST_P(RepairProperty, RandomDamageUpToMIsAlwaysRepairable) {
       }
       for (const ChunkIndex idx : dropped) {
         const RegionId region = backend.placement().region_of(key, idx, 6);
-        backend.bucket(region).erase(ChunkId{key, idx});
+        backend.bucket(region).erase(backend.objects().chunk(ChunkId{key, idx}));
       }
     }
     const store::RepairReport report = store::repair_all(backend);

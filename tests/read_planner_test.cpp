@@ -18,7 +18,7 @@ class ReadPlannerTest : public ::testing::Test {
         backend_(6, ec::CodecParams{9, 3},
                  std::make_shared<ec::RoundRobinPlacement>(false)),
         cache_(1_MB) {
-    backend_.register_object("obj", 90_KB);
+    id_ = backend_.register_object("obj", 90_KB);
     RegionManagerParams p;
     p.local_region = sim::region::kFrankfurt;
     region_manager_ =
@@ -37,6 +37,14 @@ class ReadPlannerTest : public ::testing::Test {
                               "obj");
   }
 
+  /// The configuration holding exactly these chunks of "obj".
+  std::vector<ChunkMask> configure(std::initializer_list<ChunkIndex> chunks) {
+    std::vector<ChunkMask> masks(id_ + 1, 0);
+    for (const ChunkIndex idx : chunks) masks[id_] |= ChunkMask{1} << idx;
+    return masks;
+  }
+  ChunkRef chunk(ChunkIndex idx) const { return backend_.chunk(id_, idx); }
+
   static ConfiguredChunkFn nothing() {
     return [](const ObjectKey&, ChunkIndex) { return false; };
   }
@@ -46,6 +54,7 @@ class ReadPlannerTest : public ::testing::Test {
   store::BackendCluster backend_;
   cache::StaticConfigCache cache_;
   std::unique_ptr<RegionManager> region_manager_;
+  ObjectId id_ = 0;
 };
 
 TEST_F(ReadPlannerTest, ColdPlanFetchesKCheapest) {
@@ -65,10 +74,8 @@ TEST_F(ReadPlannerTest, ColdPlanFetchesKCheapest) {
 
 TEST_F(ReadPlannerTest, PlanNeverDuplicatesChunks) {
   // Configure + populate some chunks, leave others configured-but-absent.
-  cache_.install_configuration({ChunkId{"obj", 4}.cache_key(),
-                                ChunkId{"obj", 3}.cache_key(),
-                                ChunkId{"obj", 9}.cache_key()});
-  cache_.put(ChunkId{"obj", 4}.cache_key(), Bytes(8, 1));
+  cache_.install_configuration(configure({4, 3, 9}));
+  cache_.put(chunk(4), Bytes(8, 1));
   const auto configured = [](const ObjectKey&, ChunkIndex idx) {
     return idx == 4 || idx == 3 || idx == 9;
   };
@@ -84,8 +91,8 @@ TEST_F(ReadPlannerTest, PlanNeverDuplicatesChunks) {
 }
 
 TEST_F(ReadPlannerTest, ResidentChunksComeFromCache) {
-  cache_.install_configuration({ChunkId{"obj", 4}.cache_key()});
-  cache_.put(ChunkId{"obj", 4}.cache_key(), Bytes(8, 1));
+  cache_.install_configuration(configure({4}));
+  cache_.put(chunk(4), Bytes(8, 1));
   const ReadPlan p = plan(
       [](const ObjectKey&, ChunkIndex idx) { return idx == 4; });
   ASSERT_EQ(p.from_cache.size(), 1u);
@@ -115,18 +122,15 @@ TEST_F(ReadPlannerTest, ConfiguredOffPathChunksPopulateAsync) {
 }
 
 TEST_F(ReadPlannerTest, FullResidencyNeedsNoBackend) {
-  std::unordered_set<std::string> keys;
   // The nine needed chunks from Frankfurt: all but Sydney's {5, 11} and
   // Tokyo's second chunk {10}.
+  const auto masks = configure({0, 1, 2, 3, 4, 6, 7, 8, 9});
+  cache_.install_configuration(masks);
   for (const ChunkIndex idx : {0u, 1u, 2u, 3u, 4u, 6u, 7u, 8u, 9u}) {
-    keys.insert(ChunkId{"obj", idx}.cache_key());
-  }
-  cache_.install_configuration(keys);
-  for (const ChunkIndex idx : {0u, 1u, 2u, 3u, 4u, 6u, 7u, 8u, 9u}) {
-    cache_.put(ChunkId{"obj", idx}.cache_key(), Bytes(8, 1));
+    cache_.put(chunk(idx), Bytes(8, 1));
   }
   const ReadPlan p = plan([&](const ObjectKey&, ChunkIndex idx) {
-    return keys.contains(ChunkId{"obj", idx}.cache_key());
+    return ((masks[id_] >> idx) & 1U) != 0;
   });
   EXPECT_EQ(p.from_cache.size(), 9u);
   EXPECT_TRUE(p.from_backend.empty());

@@ -19,7 +19,8 @@ class RepairTest : public ::testing::Test {
 
   void drop_chunk(const ObjectKey& key, ChunkIndex idx) {
     const RegionId region = backend_.placement().region_of(key, idx, 6);
-    ASSERT_TRUE(backend_.bucket(region).erase(ChunkId{key, idx}));
+    ASSERT_TRUE(
+        backend_.bucket(region).erase(backend_.objects().chunk(ChunkId{key, idx})));
   }
 
   Bytes decode(const ObjectKey& key) {

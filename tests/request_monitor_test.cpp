@@ -4,73 +4,81 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+
+#include "chunk_keys.hpp"
 
 namespace agar::core {
 namespace {
 
+store::ObjectTable& objects() { return test_keys::names(); }
+ObjectId id(const std::string& key) { return objects().intern(key); }
+
 TEST(RequestMonitor, ChargesProcessingOverhead) {
   RequestMonitorParams p;
   p.processing_ms = 0.5;  // the paper's measured overhead (§VI)
-  RequestMonitor m(p);
-  EXPECT_DOUBLE_EQ(m.record_access("a"), 0.5);
+  RequestMonitor m(p, &objects());
+  EXPECT_DOUBLE_EQ(m.record_access(id("a")), 0.5);
 }
 
 TEST(RequestMonitor, CountsAccesses) {
-  RequestMonitor m;
-  m.record_access("a");
-  m.record_access("a");
-  m.record_access("b");
+  RequestMonitor m({}, &objects());
+  m.record_access(id("a"));
+  m.record_access(id("a"));
+  m.record_access(id("b"));
   EXPECT_EQ(m.accesses(), 3u);
   EXPECT_EQ(m.tracked_keys(), 2u);
 }
 
 TEST(RequestMonitor, PopularityBlendsCurrentPeriod) {
-  RequestMonitor m;
-  for (int i = 0; i < 100; ++i) m.record_access("key1");
+  RequestMonitor m({}, &objects());
+  for (int i = 0; i < 100; ++i) m.record_access(id("key1"));
   // Before the period rolls, popularity reflects alpha * current count
   // (paper example: 0.8 * 100 + 0.2 * 0 = 80).
-  EXPECT_DOUBLE_EQ(m.popularity("key1"), 80.0);
+  EXPECT_DOUBLE_EQ(m.popularity(id("key1")), 80.0);
 }
 
 TEST(RequestMonitor, RollPeriodLocksInEwma) {
-  RequestMonitor m;
-  for (int i = 0; i < 100; ++i) m.record_access("key1");
+  RequestMonitor m({}, &objects());
+  for (int i = 0; i < 100; ++i) m.record_access(id("key1"));
   m.roll_period();
-  EXPECT_DOUBLE_EQ(m.popularity("key1"), 80.0);
-  for (int i = 0; i < 50; ++i) m.record_access("key1");
+  EXPECT_DOUBLE_EQ(m.popularity(id("key1")), 80.0);
+  for (int i = 0; i < 50; ++i) m.record_access(id("key1"));
   m.roll_period();
-  EXPECT_DOUBLE_EQ(m.popularity("key1"), 56.0);
+  EXPECT_DOUBLE_EQ(m.popularity(id("key1")), 56.0);
 }
 
 TEST(RequestMonitor, UnknownKeyHasZeroPopularity) {
-  RequestMonitor m;
-  EXPECT_DOUBLE_EQ(m.popularity("ghost"), 0.0);
+  RequestMonitor m({}, &objects());
+  EXPECT_DOUBLE_EQ(m.popularity(id("ghost")), 0.0);
 }
 
 TEST(RequestMonitor, SnapshotIsSortedByKey) {
   // Sorted order is a contract (planner-input determinism), not a
   // courtesy: no caller-side sort here.
-  RequestMonitor m;
-  m.record_access("hot");
-  m.record_access("hot");
-  m.record_access("cold");
+  RequestMonitor m({}, &objects());
+  m.record_access(id("hot"));
+  m.record_access(id("hot"));
+  m.record_access(id("cold"));
   const auto snap = m.snapshot();
   ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].first, "cold");
+  EXPECT_EQ(snap[0].first, id("cold"));
   EXPECT_DOUBLE_EQ(snap[0].second, 0.8);
-  EXPECT_EQ(snap[1].first, "hot");
+  EXPECT_EQ(snap[1].first, id("hot"));
   EXPECT_DOUBLE_EQ(snap[1].second, 1.6);
 }
 
 TEST(RequestMonitor, SnapshotStaysSortedUnderManyKeys) {
-  RequestMonitor m;
+  RequestMonitor m({}, &objects());
   for (int i = 0; i < 200; ++i) {
-    m.record_access("object" + std::to_string((i * 131) % 97));
+    m.record_access(id("object" + std::to_string((i * 131) % 97)));
   }
   const auto snap = m.snapshot();
   EXPECT_TRUE(std::is_sorted(
       snap.begin(), snap.end(),
-      [](const auto& a, const auto& b) { return a.first < b.first; }));
+      [](const auto& a, const auto& b) {
+        return objects().key_less(a.first, b.first);
+      }));
 }
 
 TEST(RequestMonitor, CountMinEstimatorRunsBehindTheMonitor) {
@@ -78,42 +86,53 @@ TEST(RequestMonitor, CountMinEstimatorRunsBehindTheMonitor) {
   p.estimator = "count-min";
   p.estimator_params.set("width", "256");
   p.estimator_params.set("depth", "4");
-  RequestMonitor m(p);
+  RequestMonitor m(p, &objects());
   EXPECT_EQ(m.estimator().name(), "count-min");
-  for (int i = 0; i < 100; ++i) m.record_access("hot");
-  m.record_access("cold");
-  EXPECT_GT(m.popularity("hot"), m.popularity("cold"));
+  for (int i = 0; i < 100; ++i) m.record_access(id("hot"));
+  m.record_access(id("cold"));
+  EXPECT_GT(m.popularity(id("hot")), m.popularity(id("cold")));
   m.roll_period();
-  EXPECT_GT(m.popularity("hot"), 0.0);
+  EXPECT_GT(m.popularity(id("hot")), 0.0);
   const auto snap = m.snapshot();
   EXPECT_TRUE(std::is_sorted(
       snap.begin(), snap.end(),
-      [](const auto& a, const auto& b) { return a.first < b.first; }));
+      [](const auto& a, const auto& b) {
+        return objects().key_less(a.first, b.first);
+      }));
 }
 
 TEST(RequestMonitor, UnknownEstimatorThrows) {
   RequestMonitorParams p;
   p.estimator = "oracle";
-  EXPECT_THROW(RequestMonitor{p}, std::invalid_argument);
+  EXPECT_THROW(RequestMonitor(p, &objects()), std::invalid_argument);
 }
 
 TEST(RequestMonitor, PopularityDecaysAcrossIdlePeriods) {
-  RequestMonitor m;
-  for (int i = 0; i < 10; ++i) m.record_access("k");
+  RequestMonitor m({}, &objects());
+  for (int i = 0; i < 10; ++i) m.record_access(id("k"));
   m.roll_period();
-  const double p1 = m.popularity("k");
+  const double p1 = m.popularity(id("k"));
   m.roll_period();
-  const double p2 = m.popularity("k");
+  const double p2 = m.popularity(id("k"));
   EXPECT_LT(p2, p1);
 }
 
 TEST(RequestMonitor, CustomAlpha) {
   RequestMonitorParams p;
   p.ewma_alpha = 0.5;
-  RequestMonitor m(p);
-  for (int i = 0; i < 10; ++i) m.record_access("k");
+  RequestMonitor m(p, &objects());
+  for (int i = 0; i < 10; ++i) m.record_access(id("k"));
   m.roll_period();
-  EXPECT_DOUBLE_EQ(m.popularity("k"), 5.0);
+  EXPECT_DOUBLE_EQ(m.popularity(id("k")), 5.0);
+}
+
+TEST(RequestMonitor, KeyAdapterResolvesThroughTheObjectTable) {
+  RequestMonitor m({}, &objects());
+  const ObjectId known = id("adapter-known");
+  m.record_access("adapter-known");
+  EXPECT_DOUBLE_EQ(m.popularity(known), 0.8);
+  EXPECT_THROW(m.record_access("adapter-never-interned"), std::out_of_range);
+  EXPECT_THROW(RequestMonitor({}, nullptr), std::invalid_argument);
 }
 
 }  // namespace

@@ -63,10 +63,12 @@ class VerifyReferenceTest : public ::testing::Test {
   }
 
   /// Chunk indices of kKey resident in `cache`, ascending.
-  static std::vector<ChunkIndex> cached_chunks(cache::CacheEngine& cache) {
+  std::vector<ChunkIndex> cached_chunks(cache::CacheEngine& cache) const {
     std::vector<ChunkIndex> out;
     for (ChunkIndex i = 0; i < 12; ++i) {
-      if (cache.contains(ChunkId{kKey, i}.cache_key())) out.push_back(i);
+      if (cache.contains(backend_.objects().chunk(ChunkId{kKey, i}))) {
+        out.push_back(i);
+      }
     }
     return out;
   }
@@ -106,7 +108,7 @@ TEST_F(VerifyReferenceTest, FlippedByteInCachedDataChunkIsDetected) {
   ASSERT_EQ(cached.size(), kK);
   ASSERT_LT(cached.front(), kK);
   const ChunkIndex d = cached.front();
-  const std::string ck = ChunkId{kKey, d}.cache_key();
+  const ChunkRef ck = backend_.objects().chunk(ChunkId{kKey, d});
   const SharedBytes original = *backend_.get_chunk(ChunkId{kKey, d});
 
   // A distinct buffer with equal bytes takes the memcmp path and passes.
@@ -132,7 +134,7 @@ TEST_F(VerifyReferenceTest, FlippedByteInRebuildingParityIsDetected) {
   ASSERT_GE(cached.back(), kK);
   const ChunkIndex p = cached.back();
   const SharedBytes original = *backend_.get_chunk(ChunkId{kKey, p});
-  ASSERT_TRUE(strategy->engine().put(ChunkId{kKey, p}.cache_key(),
+  ASSERT_TRUE(strategy->engine().put(backend_.objects().chunk(ChunkId{kKey, p}),
                                      flipped_copy(original)));
   const ReadResult corrupt = strategy->read(kKey);
   EXPECT_TRUE(corrupt.full_hit);
@@ -141,7 +143,7 @@ TEST_F(VerifyReferenceTest, FlippedByteInRebuildingParityIsDetected) {
 
 TEST_F(VerifyReferenceTest, ErasedDataChunkStillVerifiesViaParity) {
   const ChunkIndex d = unfetched_data_chunk();
-  ASSERT_TRUE(backend_.bucket(home_of(d)).erase(ChunkId{kKey, d}));
+  ASSERT_TRUE(backend_.bucket(home_of(d)).erase(backend_.objects().chunk(ChunkId{kKey, d})));
   ASSERT_FALSE(backend_.get_chunk(ChunkId{kKey, d}).has_value());
 
   // The write-time reference outlives the bucket entry.
@@ -156,7 +158,7 @@ TEST_F(VerifyReferenceTest, ErasedDataChunkStillVerifiesViaParity) {
 
 TEST_F(VerifyReferenceTest, RepairedChunkVerifiesThroughCompare) {
   const ChunkIndex d = unfetched_data_chunk();
-  ASSERT_TRUE(backend_.bucket(home_of(d)).erase(ChunkId{kKey, d}));
+  ASSERT_TRUE(backend_.bucket(home_of(d)).erase(backend_.objects().chunk(ChunkId{kKey, d})));
   const store::RepairReport report = store::repair_all(backend_);
   EXPECT_EQ(report.chunks_rebuilt, 1u);
 
@@ -178,7 +180,8 @@ TEST_F(VerifyReferenceTest, CorruptBucketChunkIsDetected) {
   // was written, and a read fetching them must not verify.
   const ChunkIndex d = 0;
   const SharedBytes original = *backend_.get_chunk(ChunkId{kKey, d});
-  backend_.bucket(home_of(d)).put(ChunkId{kKey, d}, flipped_copy(original));
+  backend_.bucket(home_of(d))
+      .put(backend_.objects().chunk(ChunkId{kKey, d}), flipped_copy(original));
   BackendStrategy local(ctx(home_of(d)));
   EXPECT_FALSE(local.read(kKey).verified);
 }

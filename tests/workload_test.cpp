@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 namespace agar::client {
 namespace {
@@ -133,6 +135,20 @@ TEST(Workload, ZipfFavorsObjectZero) {
     }
   }
   EXPECT_EQ(max_key, "object0");
+}
+
+TEST(Workload, IdStreamFollowsTheKeyStream) {
+  // Over the working set's ids, next_id() names the object next_key()
+  // would: same seed, same draws, object index i -> ids[i].
+  std::vector<ObjectId> ids;
+  for (ObjectId i = 0; i < 50; ++i) ids.push_back(1000 + 3 * i);
+  Workload by_key(WorkloadSpec::zipfian(1.1), 50, 17);
+  Workload by_id(WorkloadSpec::zipfian(1.1), ids, 17);
+  for (int n = 0; n < 500; ++n) {
+    const std::string key = by_key.next_key();
+    const auto index = static_cast<std::size_t>(std::stoul(key.substr(6)));
+    EXPECT_EQ(by_id.next_id(), ids[index]) << key;
+  }
 }
 
 }  // namespace

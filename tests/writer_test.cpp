@@ -17,7 +17,7 @@ class WriterTest : public ::testing::Test {
         network_(sim::LatencyModel(&topology_, zero_jitter(), 9)),
         backend_(6, ec::CodecParams{9, 3},
                  std::make_shared<ec::RoundRobinPlacement>(false)),
-        coherence_(6, &network_) {
+        coherence_(6, &network_, &backend_.objects()) {
     store::populate_working_set(backend_, 3, 9000);
   }
 
