@@ -1,7 +1,8 @@
 // EC data-plane throughput harness: GF(256) bulk kernels (every runtime
 // backend vs the scalar reference), Reed-Solomon encode/decode for the
-// paper's RS(9,3), the decode-plan cache (cold vs memoized inversion), and
-// the verify-mode check of one read (erased rows rebuilt, rows compared).
+// paper's RS(9,3) (the erased-row rebuild of a verify-mode read on every
+// backend), the decode-plan cache (cold vs memoized inversion), and the
+// verify-mode check of one read (erased rows rebuilt, rows compared).
 //
 // Self-contained (no Google Benchmark) so CI can always build and run it.
 // Default output is an aligned table; --json emits a JSON array ("BENCH
@@ -106,18 +107,27 @@ void bench_kernels() {
              [&] { gf::mul_add_slice(0x57, src, dst); });
       record("xor_slice", name, n, [&] { gf::xor_slice(src, dst); });
 
-      // Fused multi-source apply with the paper's k = 9 sources.
+      // Multi-row apply with the paper's k = 9 sources: one output row
+      // (a single erased data row), two (the paper-verify majority) and
+      // three (RS(9,3) encode, or every data row of a stripe erased).
       constexpr std::size_t kSrcs = 9;
       std::vector<Bytes> srcs;
       std::vector<BytesView> views;
-      std::vector<std::uint8_t> coeffs;
       for (std::size_t j = 0; j < kSrcs; ++j) {
         srcs.push_back(random_bytes(n, 10 + j));
-        coeffs.push_back(static_cast<std::uint8_t>(3 + 2 * j));
       }
       for (const auto& s : srcs) views.emplace_back(s);
-      record("mul_add_multi_k9", name, n * kSrcs,
-             [&] { gf::mul_add_multi(coeffs, views, dst); });
+      std::vector<Bytes> outs(3, Bytes(n));
+      for (std::size_t rows = 1; rows <= outs.size(); ++rows) {
+        std::vector<std::uint8_t> coeffs;
+        std::vector<BytesSpan> out_views;
+        for (std::size_t e = 0; e < rows * kSrcs; ++e) {
+          coeffs.push_back(static_cast<std::uint8_t>(3 + 2 * e));
+        }
+        for (std::size_t r = 0; r < rows; ++r) out_views.emplace_back(outs[r]);
+        record("mul_rows_k9_r" + std::to_string(rows), name, n * kSrcs,
+               [&] { gf::mul_rows(coeffs, views, out_views); });
+      }
     }
   }
   gf::reset_backend();
@@ -149,7 +159,8 @@ void bench_rs() {
   record("rs_decode_all_data", active, chunk * 9,
          [&] { auto out = rs.reconstruct_data(all_data); });
 
-  for (const std::size_t missing : {std::size_t{1}, std::size_t{3}}) {
+  for (const std::size_t missing :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
     std::vector<std::pair<std::uint32_t, BytesView>> degraded;
     for (std::uint32_t i = static_cast<std::uint32_t>(missing); i < 9; ++i) {
       degraded.emplace_back(i, data[i]);
@@ -164,12 +175,17 @@ void bench_rs() {
     });
     record(tag + "_cached_plan", active, chunk * 9,
            [&] { auto out = rs.reconstruct_data(degraded); });
-    // The verify-mode read path: present data chunks stay views, only the
-    // erased rows are rebuilt, into a reused scratch.
+    // The verify-mode read path on every backend: present data chunks stay
+    // views, only the erased rows are rebuilt (one pass for all of them),
+    // into a reused scratch.
     ec::DecodeScratch scratch;
-    record(tag + "_erased_rows", active, chunk * 9, [&] {
-      (void)rs.reconstruct_data_views(degraded, scratch);
-    }, "cached plan, views + reused scratch");
+    for (const gf::Backend b : gf::supported_backends()) {
+      if (!gf::set_backend(b)) continue;
+      record(tag + "_erased_rows", gf::backend_name(b), chunk * 9, [&] {
+        (void)rs.reconstruct_data_views(degraded, scratch);
+      }, "cached plan, views + reused scratch");
+    }
+    gf::reset_backend();
   }
 
   // Decode-plan setup cost in isolation: 64-byte chunks make the GF work

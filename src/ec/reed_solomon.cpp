@@ -34,16 +34,27 @@ ReedSolomon::ReedSolomon(CodecParams params) : params_(params) {
                 : systematic_vandermonde(params_.k, params_.m);
 }
 
-void ReedSolomon::apply_row(const Matrix& matrix, std::size_t row,
-                            std::span<const BytesView> inputs,
-                            BytesSpan out) const {
-  // The first column initializes `out` outright (mul_slice writes every
-  // byte, so no separate zero-fill pass over the buffer); the remaining
-  // columns accumulate through the fused kernel — one pass over `out`.
-  gf::mul_slice(matrix.at(row, 0), inputs[0], out);
-  gf::mul_add_multi(
-      std::span<const std::uint8_t>(matrix.row(row) + 1, inputs.size() - 1),
-      std::span<const BytesView>(inputs.data() + 1, inputs.size() - 1), out);
+void ReedSolomon::apply_rows(const Matrix& matrix,
+                             std::span<const std::size_t> rows,
+                             std::span<const BytesView> inputs,
+                             std::span<const BytesSpan> outs) const {
+  // gf::mul_rows takes the selected rows as one row-major block. Stage it
+  // inline up to 256 coefficients (an RS(9,3) decode needs at most 27), so
+  // a stream of reconstructions allocates nothing here.
+  constexpr std::size_t kMaxInline = 256;
+  const std::size_t cols = inputs.size();
+  std::uint8_t coeff_buf[kMaxInline];
+  std::vector<std::uint8_t> coeff_heap;
+  std::uint8_t* coeffs = coeff_buf;
+  if (rows.size() * cols > kMaxInline) {
+    coeff_heap.resize(rows.size() * cols);
+    coeffs = coeff_heap.data();
+  }
+  for (std::size_t e = 0; e < rows.size(); ++e) {
+    std::copy_n(matrix.row(rows[e]), cols, coeffs + e * cols);
+  }
+  gf::mul_rows(std::span<const std::uint8_t>(coeffs, rows.size() * cols),
+               inputs, outs);
 }
 
 std::vector<Bytes> ReedSolomon::encode(
@@ -55,9 +66,14 @@ std::vector<Bytes> ReedSolomon::encode(
   const std::size_t chunk_size = data_chunks.front().size();
 
   std::vector<Bytes> parity(params_.m, Bytes(chunk_size));
+  std::vector<std::size_t> rows(params_.m);
+  std::vector<BytesSpan> outs;
+  outs.reserve(params_.m);
   for (std::size_t p = 0; p < params_.m; ++p) {
-    apply_row(encode_, params_.k + p, data_chunks, BytesSpan(parity[p]));
+    rows[p] = params_.k + p;
+    outs.emplace_back(parity[p]);
   }
+  apply_rows(encode_, rows, data_chunks, outs);
   return parity;
 }
 
@@ -150,19 +166,24 @@ std::span<const BytesView> ReedSolomon::reconstruct_data_views(
   const Matrix& decode = decode_plan(scratch.rows);
 
   // The decode row of a present data chunk is a unit vector selecting that
-  // chunk, so only the erased rows need GF work. At most min(k, m) rows can
-  // be erased; sizing for that keeps the slots' addresses stable across
+  // chunk, so only the erased rows need GF work, and they are rebuilt
+  // together in one pass over the inputs. At most min(k, m) rows can be
+  // erased; sizing for that keeps the slots' addresses stable across
   // erasure patterns.
   const std::size_t slots = std::min(k, params_.m) * chunk_size;
   if (scratch.erased.size() < slots) scratch.erased.resize(slots);
+  scratch.erased_rows.clear();
+  scratch.outs.clear();
   std::uint8_t* slot = scratch.erased.data();
   for (std::size_t d = 0; d < k; ++d) {
     if (seen.test(d)) continue;  // picked, so present
     const BytesSpan out(slot, chunk_size);
-    apply_row(decode, d, scratch.inputs, out);
+    scratch.erased_rows.push_back(d);
+    scratch.outs.push_back(out);
     scratch.data[d] = out;
     slot += chunk_size;
   }
+  apply_rows(decode, scratch.erased_rows, scratch.inputs, scratch.outs);
   return scratch.data;
 }
 
@@ -196,7 +217,9 @@ Bytes ReedSolomon::reconstruct_chunk(
   }
 
   Bytes out(data.front().size());
-  apply_row(encode_, target, data, BytesSpan(out));
+  const std::size_t row = target;
+  const BytesSpan out_span(out);
+  apply_rows(encode_, {&row, 1}, data, {&out_span, 1});
   return out;
 }
 

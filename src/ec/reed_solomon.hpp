@@ -5,9 +5,11 @@
 // property). This is the same contract as Longhair, the Cauchy Reed-Solomon
 // library the paper's prototype used.
 //
-// Hot-path structure: every row application runs through the fused
-// gf::mul_add_multi kernel (one pass over the output for all k inputs), and
-// reconstruction memoizes the inverted decode matrix per surviving-chunk
+// Hot-path structure: every matrix application — encode's m parity rows,
+// a reconstruction's erased data rows, a repaired chunk's row — is one
+// apply_rows call into gf::mul_rows, which computes up to four output rows
+// per pass over the k inputs (GFNI affine or split-nibble SIMD kernels),
+// and reconstruction memoizes the inverted decode matrix per surviving-chunk
 // set — RS(9,3) has at most C(12,9) = 220 such sets, so after warm-up a
 // degraded read pays zero matrix-inversion cost. Apart from that cache
 // (single-threaded use, like the rest of the simulation) the codec is
@@ -55,6 +57,8 @@ struct DecodeScratch {
   std::vector<std::size_t> rows;  ///< picked chunk indices (decode plan key)
   std::vector<BytesView> data;    ///< result: views of the k data chunks
   Bytes erased;                   ///< rebuilt data rows, one chunk apart
+  std::vector<std::size_t> erased_rows;  ///< decode rows rebuilt this call
+  std::vector<BytesSpan> outs;    ///< their slots in `erased`
 };
 
 class ReedSolomon {
@@ -107,9 +111,11 @@ class ReedSolomon {
   void clear_decode_plan_cache() const { plan_cache_.clear(); }
 
  private:
-  /// out = sum_j matrix[row][j] * inputs[j], via the fused kernel.
-  void apply_row(const Matrix& matrix, std::size_t row,
-                 std::span<const BytesView> inputs, BytesSpan out) const;
+  /// outs[e] = sum_j matrix[rows[e]][j] * inputs[j] for every e, all rows
+  /// in one gf::mul_rows call. The one row-apply path of the codec.
+  void apply_rows(const Matrix& matrix, std::span<const std::size_t> rows,
+                  std::span<const BytesView> inputs,
+                  std::span<const BytesSpan> outs) const;
 
   /// Inverted decode matrix for this exact (sorted, distinct) row set,
   /// served from the plan cache when the row set fits a 64-bit mask.

@@ -1,5 +1,6 @@
 #include "gf/gf256.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -42,6 +43,21 @@ Tables::Tables() {
       hi_[c][x4] = mul_[c][x4 << 4];
     }
   }
+
+  // Affine matrices derive from the products of the basis bytes 2^j:
+  // c * x is the XOR of c * 2^j over x's set bits j.
+  for (std::size_t c = 0; c < 256; ++c) {
+    std::uint64_t m = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      std::uint64_t row = 0;
+      for (std::size_t j = 0; j < 8; ++j) {
+        const std::uint64_t bit = (mul_[c][std::size_t{1} << j] >> i) & 1;
+        row |= bit << j;
+      }
+      m |= row << (8 * (7 - i));
+    }
+    affine_[c] = m;
+  }
 }
 
 const Tables& tables() {
@@ -70,11 +86,16 @@ void xor_slice_scalar(const std::uint8_t* src, std::uint8_t* dst,
   for (std::size_t i = 0; i < n; ++i) dst[i] ^= src[i];
 }
 
-void mul_add_multi_scalar(const std::uint8_t* coeffs,
-                          const std::uint8_t* const* srcs, std::size_t nsrc,
-                          std::uint8_t* dst, std::size_t n) {
-  for (std::size_t j = 0; j < nsrc; ++j) {
-    mul_add_slice_scalar(coeffs[j], srcs[j], dst, n);
+void mul_rows_scalar(const std::uint8_t* coeffs,
+                     const std::uint8_t* const* srcs, std::size_t nsrc,
+                     std::uint8_t* const* outs, std::size_t nrows,
+                     std::size_t n) {
+  for (std::size_t r = 0; r < nrows; ++r) {
+    const std::uint8_t* row = coeffs + r * nsrc;
+    mul_slice_scalar(row[0], srcs[0], outs[r], n);
+    for (std::size_t j = 1; j < nsrc; ++j) {
+      mul_add_slice_scalar(row[j], srcs[j], outs[r], n);
+    }
   }
 }
 
@@ -146,36 +167,39 @@ void xor_slice_portable(const std::uint8_t* src, std::uint8_t* dst,
   for (; i < n; ++i) dst[i] ^= src[i];
 }
 
-void mul_add_multi_portable(const std::uint8_t* coeffs,
-                            const std::uint8_t* const* srcs, std::size_t nsrc,
-                            std::uint8_t* dst, std::size_t n) {
+void mul_rows_portable(const std::uint8_t* coeffs,
+                       const std::uint8_t* const* srcs, std::size_t nsrc,
+                       std::uint8_t* const* outs, std::size_t nrows,
+                       std::size_t n) {
   const auto& mul = tables().mul_;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t d;
-    std::memcpy(&d, dst + i, 8);
-    for (std::size_t j = 0; j < nsrc; ++j) {
-      std::uint64_t s;
-      std::memcpy(&s, srcs[j] + i, 8);
-      d ^= mul_word(mul[coeffs[j]], s);
+  for (std::size_t r = 0; r < nrows; ++r) {
+    const std::uint8_t* row = coeffs + r * nsrc;
+    std::uint8_t* out = outs[r];
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      std::uint64_t d = 0;
+      for (std::size_t j = 0; j < nsrc; ++j) {
+        std::uint64_t s;
+        std::memcpy(&s, srcs[j] + i, 8);
+        d ^= mul_word(mul[row[j]], s);
+      }
+      std::memcpy(out + i, &d, 8);
     }
-    std::memcpy(dst + i, &d, 8);
-  }
-  for (; i < n; ++i) {
-    std::uint8_t b = dst[i];
-    for (std::size_t j = 0; j < nsrc; ++j) b ^= mul[coeffs[j]][srcs[j][i]];
-    dst[i] = b;
+    for (; i < n; ++i) {
+      std::uint8_t b = 0;
+      for (std::size_t j = 0; j < nsrc; ++j) b ^= mul[row[j]][srcs[j][i]];
+      out[i] = b;
+    }
   }
 }
 
 }  // namespace
 
 const KernelTable kScalarKernels{mul_slice_scalar, mul_add_slice_scalar,
-                                 xor_slice_scalar, mul_add_multi_scalar};
+                                 xor_slice_scalar, mul_rows_scalar};
 const KernelTable kPortable64Kernels{mul_slice_portable,
                                      mul_add_slice_portable,
-                                     xor_slice_portable,
-                                     mul_add_multi_portable};
+                                     xor_slice_portable, mul_rows_portable};
 
 }  // namespace detail
 
@@ -242,11 +266,14 @@ const detail::KernelTable* backend_table(Backend b) {
       return detail::ssse3_kernels();
     case Backend::kAvx2:
       return detail::avx2_kernels();
+    case Backend::kGfni:
+      return detail::gfni_kernels();
   }
   return nullptr;
 }
 
 Backend best_backend() {
+  if (detail::gfni_kernels() != nullptr) return Backend::kGfni;
   if (detail::avx2_kernels() != nullptr) return Backend::kAvx2;
   if (detail::ssse3_kernels() != nullptr) return Backend::kSsse3;
   return Backend::kPortable64;
@@ -276,6 +303,8 @@ const char* backend_name(Backend b) {
       return "ssse3";
     case Backend::kAvx2:
       return "avx2";
+    case Backend::kGfni:
+      return "gfni";
   }
   return "unknown";
 }
@@ -285,7 +314,7 @@ bool backend_supported(Backend b) { return backend_table(b) != nullptr; }
 std::vector<Backend> supported_backends() {
   std::vector<Backend> out;
   for (const Backend b : {Backend::kScalar, Backend::kPortable64,
-                          Backend::kSsse3, Backend::kAvx2}) {
+                          Backend::kSsse3, Backend::kAvx2, Backend::kGfni}) {
     if (backend_supported(b)) out.push_back(b);
   }
   return out;
@@ -345,46 +374,52 @@ void xor_slice(std::span<const std::uint8_t> src,
   dispatch().table->xor_slice(src.data(), dst.data(), dst.size());
 }
 
-void mul_add_multi(std::span<const std::uint8_t> coeffs,
-                   std::span<const std::span<const std::uint8_t>> srcs,
-                   std::span<std::uint8_t> dst) {
-  if (coeffs.size() != srcs.size()) {
-    throw std::invalid_argument("gf256: mul_add_multi count mismatch");
+void mul_rows(std::span<const std::uint8_t> coeffs,
+              std::span<const std::span<const std::uint8_t>> srcs,
+              std::span<const std::span<std::uint8_t>> outs) {
+  if (coeffs.size() != outs.size() * srcs.size()) {
+    throw std::invalid_argument("gf256: mul_rows coefficient count mismatch");
   }
-  for (const auto& s : srcs) {
-    if (s.size() != dst.size()) {
-      throw std::invalid_argument("gf256: mul_add_multi size mismatch");
+  if (outs.empty()) return;
+  const std::size_t n = outs.front().size();
+  for (const auto& o : outs) {
+    if (o.size() != n) {
+      throw std::invalid_argument("gf256: mul_rows size mismatch");
     }
   }
-  if (dst.empty()) return;
-
-  // Strip zero coefficients so kernels never see them.
-  constexpr std::size_t kMaxInline = 32;
-  std::uint8_t coeff_buf[kMaxInline];
-  const std::uint8_t* src_buf[kMaxInline];
-  std::vector<std::uint8_t> coeff_heap;
-  std::vector<const std::uint8_t*> src_heap;
-  std::uint8_t* cs = coeff_buf;
-  const std::uint8_t** ss = src_buf;
-  if (coeffs.size() > kMaxInline) {
-    coeff_heap.resize(coeffs.size());
-    src_heap.resize(coeffs.size());
-    cs = coeff_heap.data();
-    ss = src_heap.data();
+  for (const auto& s : srcs) {
+    if (s.size() != n) {
+      throw std::invalid_argument("gf256: mul_rows size mismatch");
+    }
   }
-  std::size_t nsrc = 0;
-  for (std::size_t j = 0; j < coeffs.size(); ++j) {
-    if (coeffs[j] == 0) continue;
-    cs[nsrc] = coeffs[j];
-    ss[nsrc] = srcs[j].data();
-    ++nsrc;
-  }
-  if (nsrc == 0) return;
-  if (nsrc == 1 && cs[0] == 1) {
-    dispatch().table->xor_slice(ss[0], dst.data(), dst.size());
+  if (n == 0) return;
+  if (srcs.empty()) {
+    for (const auto& o : outs) std::memset(o.data(), 0, n);
     return;
   }
-  dispatch().table->mul_add_multi(cs, ss, nsrc, dst.data(), dst.size());
+
+  // Kernels take raw source pointers; stage them inline for codes up to
+  // kMaxInline wide so the decode path allocates nothing.
+  constexpr std::size_t kMaxInline = 32;
+  const std::uint8_t* src_buf[kMaxInline];
+  std::vector<const std::uint8_t*> src_heap;
+  const std::uint8_t** ss = src_buf;
+  if (srcs.size() > kMaxInline) {
+    src_heap.resize(srcs.size());
+    ss = src_heap.data();
+  }
+  for (std::size_t j = 0; j < srcs.size(); ++j) ss[j] = srcs[j].data();
+
+  const detail::KernelTable& table = *dispatch().table;
+  for (std::size_t first = 0; first < outs.size();
+       first += detail::kMaxRowsPerPass) {
+    const std::size_t nrows =
+        std::min(detail::kMaxRowsPerPass, outs.size() - first);
+    std::uint8_t* group[detail::kMaxRowsPerPass];
+    for (std::size_t r = 0; r < nrows; ++r) group[r] = outs[first + r].data();
+    table.mul_rows(coeffs.data() + first * srcs.size(), ss, srcs.size(),
+                   group, nrows, n);
+  }
 }
 
 }  // namespace agar::gf

@@ -7,11 +7,12 @@
 // Addition is XOR. Multiplication/division/inversion use log/antilog tables
 // generated once at static-initialization time from the generator element 2.
 //
-// Bulk operations (mul_slice, mul_add_slice, xor_slice, mul_add_multi) are
-// the hot path of the erasure codec: dst[i] (^)= c * src[i] over whole chunk
-// buffers. They are served by runtime-dispatched kernels — split-nibble
-// pshufb SIMD on x86 (AVX2 or SSSE3, picked once at startup) with a
-// portable 64-bit-word fallback — all behind this scalar-identical API.
+// Bulk operations (mul_slice, mul_add_slice, xor_slice, mul_rows) are the
+// hot path of the erasure codec: dst[i] (^)= c * src[i] over whole chunk
+// buffers, and mul_rows' matrix-times-chunks product. They are served by
+// runtime-dispatched kernels — GF2P8AFFINEQB (GFNI) or split-nibble pshufb
+// (AVX2, SSSE3) SIMD on x86, picked once at startup, with a portable
+// 64-bit-word fallback — all behind this scalar-identical API.
 // `set_backend` pins a specific kernel set (benchmarks, differential tests).
 #pragma once
 
@@ -76,14 +77,18 @@ inline void add_slice(std::span<const std::uint8_t> src,
   xor_slice(src, dst);
 }
 
-/// Fused multi-source apply (ISA-L gf_vect_mad style):
-///   dst[i] ^= coeffs[0]*srcs[0][i] ^ coeffs[1]*srcs[1][i] ^ ...
-/// One pass over dst for all sources, so dst traffic is paid once per block
-/// instead of once per source. All srcs must have dst's size; coeffs and
-/// srcs must have equal counts. Zero coefficients are skipped.
-void mul_add_multi(std::span<const std::uint8_t> coeffs,
-                   std::span<const std::span<const std::uint8_t>> srcs,
-                   std::span<std::uint8_t> dst);
+/// Multi-row apply (ISA-L gf_Nvect_dot_prod style): for every output row r
+///   outs[r][i] = coeffs[r*n+0]*srcs[0][i] ^ ... ^ coeffs[r*n+n-1]*srcs[n-1][i]
+/// with n = srcs.size(), so `coeffs` is the outs.size() x srcs.size()
+/// coefficient matrix, row-major. Outputs are written, not accumulated
+/// into. Rows are computed in groups of up to four per pass over the
+/// sources, so each source block is loaded once for the whole group.
+/// Every src and out must have the same size; outputs must overlap neither
+/// the sources nor each other. No sources means all-zero outputs. Throws
+/// std::invalid_argument on a coefficient-count or size mismatch.
+void mul_rows(std::span<const std::uint8_t> coeffs,
+              std::span<const std::span<const std::uint8_t>> srcs,
+              std::span<const std::span<std::uint8_t>> outs);
 
 // ------------------------------------------------------ kernel dispatch
 
@@ -94,6 +99,7 @@ enum class Backend : std::uint8_t {
   kPortable64,  ///< table lookups batched into 64-bit word loads/stores
   kSsse3,       ///< 16-byte split-nibble pshufb
   kAvx2,        ///< 32-byte split-nibble vpshufb
+  kGfni,        ///< 32-byte vgf2p8affineqb (GFNI + AVX2, VEX-encoded)
 };
 
 [[nodiscard]] const char* backend_name(Backend b);

@@ -1,6 +1,6 @@
 // Internal kernel plumbing shared by gf256.cpp (scalar + portable kernels,
-// dispatch) and gf256_simd.cpp (SSSE3/AVX2 kernels). Not part of the public
-// gf:: API — include gf/gf256.hpp instead.
+// dispatch) and gf256_simd.cpp (SSSE3/AVX2/GFNI kernels). Not part of the
+// public gf:: API — include gf/gf256.hpp instead.
 #pragma once
 
 #include <array>
@@ -9,8 +9,13 @@
 
 namespace agar::gf::detail {
 
+/// Output rows one mul_rows kernel call computes; gf::mul_rows splits wider
+/// requests into groups of at most this many (one pass over the sources
+/// per group). Four rows keep every SIMD accumulator in registers.
+inline constexpr std::size_t kMaxRowsPerPass = 4;
+
 /// Raw kernel signatures. Sizes are pre-validated and the c == 0 / c == 1
-/// fast paths are taken by the public wrappers, so kernels only see
+/// fast paths are taken by the public wrappers, so slice kernels only see
 /// c >= 2 (mul kernels) and may assume src.size() == dst.size() == n.
 struct KernelTable {
   void (*mul_slice)(std::uint8_t c, const std::uint8_t* src,
@@ -19,11 +24,14 @@ struct KernelTable {
                         std::uint8_t* dst, std::size_t n);
   void (*xor_slice)(const std::uint8_t* src, std::uint8_t* dst,
                     std::size_t n);
-  /// Fused multi-source apply: dst[i] ^= XOR_j coeffs[j] * srcs[j][i].
-  /// nsrc >= 1 and every coeffs[j] >= 1 (the wrapper strips zeros).
-  void (*mul_add_multi)(const std::uint8_t* coeffs,
-                        const std::uint8_t* const* srcs, std::size_t nsrc,
-                        std::uint8_t* dst, std::size_t n);
+  /// Multi-row apply: outs[r][i] = XOR_j coeffs[r * nsrc + j] * srcs[j][i]
+  /// for r < nrows, written (not accumulated) in one pass over the
+  /// sources. 1 <= nrows <= kMaxRowsPerPass, nsrc >= 1; any coefficient,
+  /// 0 and 1 included. Outputs overlap neither the sources nor each other.
+  void (*mul_rows)(const std::uint8_t* coeffs,
+                   const std::uint8_t* const* srcs, std::size_t nsrc,
+                   std::uint8_t* const* outs, std::size_t nrows,
+                   std::size_t n);
 };
 
 /// Precomputed multiplication tables.
@@ -39,6 +47,11 @@ struct Tables {
   /// [0, 16). A byte product is lo_[c][b & 15] ^ hi_[c][b >> 4].
   alignas(64) std::array<std::array<std::uint8_t, 16>, 256> lo_{};
   alignas(64) std::array<std::array<std::uint8_t, 16>, 256> hi_{};
+  /// Multiplication by c as an 8x8 GF(2) bit matrix in the operand layout
+  /// of gf2p8affineqb: bit i of c * x is the parity of
+  /// (byte 7 - i of affine_[c]) & x, so bit j of that byte is bit i of
+  /// c * 2^j. 2 KiB for all 256 coefficients.
+  alignas(64) std::array<std::uint64_t, 256> affine_{};
 
   Tables();
 };
@@ -54,5 +67,6 @@ extern const KernelTable kPortable64Kernels;
 // non-null the CPU has been verified to support them at startup.
 const KernelTable* ssse3_kernels();
 const KernelTable* avx2_kernels();
+const KernelTable* gfni_kernels();
 
 }  // namespace agar::gf::detail

@@ -229,6 +229,58 @@ TEST(DecodePlanCache, DataViewsMatchReconstructDataOnEveryPattern) {
   gf::reset_backend();
 }
 
+TEST(DecodePlanCache, WideCodesMatchScalarOnEveryBackend) {
+  // Codes wider than one four-row group of gf::mul_rows: RS(4,8) encodes
+  // eight parity rows (groups of 4 + 4) and RS(6,6) with every data chunk
+  // erased rebuilds six rows (4 + 2). Every backend must produce the
+  // scalar bytes, and the decode must give back the data.
+  struct Case {
+    std::size_t k, m;
+  };
+  for (const Case c : {Case{4, 8}, Case{6, 6}}) {
+    Rng rng(31 + c.k);
+    std::vector<Bytes> data;
+    std::vector<BytesView> views;
+    for (std::size_t i = 0; i < c.k; ++i) {
+      Bytes chunk(4096 + 35);  // a 64-byte steady state plus every tail
+      rng.fill_bytes(chunk.data(), chunk.size());
+      data.push_back(std::move(chunk));
+    }
+    for (const auto& d : data) views.emplace_back(d);
+
+    std::vector<Bytes> scalar_parity;
+    std::vector<Bytes> scalar_decode;
+    for (const gf::Backend b : gf::supported_backends()) {
+      ASSERT_TRUE(gf::set_backend(b));
+      const ReedSolomon rs(CodecParams{c.k, c.m});
+      const std::vector<Bytes> parity = rs.encode(views);
+      ASSERT_EQ(parity.size(), c.m);
+      // Parity chunks only, so every data row is erased.
+      std::vector<std::pair<std::uint32_t, BytesView>> available;
+      for (std::size_t p = 0; p < c.k; ++p) {
+        available.emplace_back(static_cast<std::uint32_t>(c.k + p),
+                               BytesView(parity[p]));
+      }
+      const std::vector<Bytes> decoded = rs.reconstruct_data(available);
+      EXPECT_EQ(decoded, data) << gf::backend_name(b) << " RS(" << c.k
+                               << "," << c.m << ")";
+      if (b == gf::Backend::kScalar) {
+        scalar_parity = parity;
+        scalar_decode = decoded;
+      } else {
+        EXPECT_EQ(parity, scalar_parity) << gf::backend_name(b);
+        EXPECT_EQ(decoded, scalar_decode) << gf::backend_name(b);
+      }
+      // The last parity row again, alone, through reconstruct_chunk.
+      const auto target = static_cast<std::uint32_t>(c.k + c.m - 1);
+      if (c.m > c.k) {
+        EXPECT_EQ(rs.reconstruct_chunk(target, available), parity.back());
+      }
+    }
+    gf::reset_backend();
+  }
+}
+
 TEST(DecodePlanCache, ReconstructChunkUsesCacheToo) {
   const ReedSolomon rs(CodecParams{kK, kM});
   const Stripe stripe = make_stripe(rs, 100, 23);

@@ -1,14 +1,18 @@
 // Differential property tests for the GF(256) bulk-kernel backends: every
-// runtime-supported kernel set (portable64, SSSE3, AVX2) must agree with
-// the scalar reference byte-for-byte over random coefficients, awkward
-// lengths (0, 1, non-multiples of 16/32) and misaligned buffers.
+// runtime-supported kernel set (portable64, SSSE3, AVX2, GFNI) must agree
+// with the scalar reference byte-for-byte over random coefficients, awkward
+// lengths (0, 1, non-multiples of 16/32) and misaligned buffers. The GFNI
+// bit matrices are also checked by a software gf2p8affineqb, so they are
+// proven right on hosts without GFNI.
 #include "gf/gf256.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "gf/gf256_kernels.hpp"
 
 namespace agar::gf {
 namespace {
@@ -52,6 +56,7 @@ TEST(GfBackends, BackendNamesAreDistinct) {
   EXPECT_STREQ(backend_name(Backend::kPortable64), "portable64");
   EXPECT_STREQ(backend_name(Backend::kSsse3), "ssse3");
   EXPECT_STREQ(backend_name(Backend::kAvx2), "avx2");
+  EXPECT_STREQ(backend_name(Backend::kGfni), "gfni");
 }
 
 TEST(GfBackends, MulSliceMatchesScalarReference) {
@@ -143,60 +148,135 @@ TEST(GfBackends, KernelsHandleMisalignedBuffers) {
   }
 }
 
-TEST(GfBackends, MulAddMultiMatchesPerSourceReference) {
+/// Reference product of one coefficient row with the sources at byte i.
+std::uint8_t dot(const std::vector<std::uint8_t>& coeffs, std::size_t row,
+                 const std::vector<std::span<const std::uint8_t>>& srcs,
+                 std::size_t i) {
+  std::uint8_t b = 0;
+  for (std::size_t j = 0; j < srcs.size(); ++j) {
+    b ^= mul(coeffs[row * srcs.size() + j], srcs[j][i]);
+  }
+  return b;
+}
+
+TEST(GfBackends, MulRowsMatchesScalarReference) {
   Rng rng(1005);
-  for (const Backend b : supported_backends()) {
-    BackendGuard guard(b);
-    for (const std::size_t nsrc : {std::size_t{1}, std::size_t{2},
-                                   std::size_t{3}, std::size_t{9}}) {
-      for (const std::size_t n : {std::size_t{0}, std::size_t{1},
-                                  std::size_t{33}, std::size_t{4096 + 5}}) {
-        std::vector<std::vector<std::uint8_t>> srcs;
-        std::vector<std::uint8_t> coeffs;
-        std::vector<std::span<const std::uint8_t>> views;
+  constexpr std::size_t kGuard = 8;
+  for (std::size_t nrows = 1; nrows <= 5; ++nrows) {
+    for (std::size_t nsrc = 1; nsrc <= 12; ++nsrc) {
+      for (const std::size_t n : kLengths) {
+        // Every buffer starts at its own offset from its allocation, so
+        // sources and outputs are misaligned relative to each other too.
+        std::vector<std::vector<std::uint8_t>> src_store;
+        std::vector<std::span<const std::uint8_t>> srcs;
         for (std::size_t j = 0; j < nsrc; ++j) {
-          srcs.push_back(random_buf(rng, n));
-          // Include zero and one coefficients.
-          coeffs.push_back(j == 0 ? 0
-                                  : j == 1 ? 1
-                                           : static_cast<std::uint8_t>(
-                                                 rng.next_below(256)));
+          src_store.push_back(random_buf(rng, n + kGuard));
         }
-        for (const auto& s : srcs) views.emplace_back(s);
-        auto dst = random_buf(rng, n);
-        std::vector<std::uint8_t> expected = dst;
         for (std::size_t j = 0; j < nsrc; ++j) {
-          for (std::size_t i = 0; i < n; ++i) {
-            expected[i] ^= mul(coeffs[j], srcs[j][i]);
+          srcs.emplace_back(src_store[j].data() + (j + n) % 4, n);
+        }
+        // Zero and one coefficients in every row, plus an all-zero last
+        // row once there are three rows: outputs are written, so its
+        // garbage must come back zeroed.
+        std::vector<std::uint8_t> coeffs(nrows * nsrc);
+        for (std::size_t r = 0; r < nrows; ++r) {
+          for (std::size_t j = 0; j < nsrc; ++j) {
+            const std::size_t pick = (r + j) % 5;
+            coeffs[r * nsrc + j] =
+                (nrows >= 3 && r + 1 == nrows) ? 0
+                : pick == 0                    ? 0
+                : pick == 1                    ? 1
+                    : static_cast<std::uint8_t>(rng.next_below(256));
           }
         }
-        mul_add_multi(coeffs, views, dst);
-        ASSERT_EQ(dst, expected) << backend_name(b) << " nsrc=" << nsrc
-                                 << " n=" << n;
+        std::vector<std::vector<std::uint8_t>> expected(nrows);
+        for (std::size_t r = 0; r < nrows; ++r) {
+          expected[r].resize(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            expected[r][i] = dot(coeffs, r, srcs, i);
+          }
+        }
+
+        for (const Backend b : supported_backends()) {
+          BackendGuard guard(b);
+          std::vector<std::vector<std::uint8_t>> out_store;
+          std::vector<std::span<std::uint8_t>> outs;
+          for (std::size_t r = 0; r < nrows; ++r) {
+            out_store.push_back(random_buf(rng, n + kGuard));
+          }
+          const auto before = out_store;
+          for (std::size_t r = 0; r < nrows; ++r) {
+            outs.emplace_back(out_store[r].data() + (r + 1) % 4, n);
+          }
+          mul_rows(coeffs, srcs, outs);
+          for (std::size_t r = 0; r < nrows; ++r) {
+            const std::size_t off = (r + 1) % 4;
+            ASSERT_TRUE(std::equal(expected[r].begin(), expected[r].end(),
+                                   out_store[r].begin() +
+                                       static_cast<std::ptrdiff_t>(off)))
+                << backend_name(b) << " rows=" << nrows << " srcs=" << nsrc
+                << " n=" << n << " row=" << r;
+            // Guard bytes on either side of the output are untouched.
+            for (std::size_t i = 0; i < out_store[r].size(); ++i) {
+              if (i >= off && i < off + n) continue;
+              ASSERT_EQ(out_store[r][i], before[r][i])
+                  << backend_name(b) << " guard byte " << i;
+            }
+          }
+        }
       }
     }
   }
 }
 
-TEST(GfBackends, MulAddMultiValidatesShapes) {
+TEST(GfBackends, MulRowsValidatesShapes) {
   std::vector<std::uint8_t> a(4), dst(4);
-  std::vector<std::span<const std::uint8_t>> views{std::span<const std::uint8_t>(a)};
+  std::vector<std::span<const std::uint8_t>> srcs{
+      std::span<const std::uint8_t>(a)};
+  std::vector<std::span<std::uint8_t>> outs{std::span<std::uint8_t>(dst)};
   const std::vector<std::uint8_t> two_coeffs{1, 2};
-  EXPECT_THROW(mul_add_multi(two_coeffs, views, dst), std::invalid_argument);
-  std::vector<std::uint8_t> short_src(3);
-  views[0] = std::span<const std::uint8_t>(short_src);
+  EXPECT_THROW(mul_rows(two_coeffs, srcs, outs), std::invalid_argument);
   const std::vector<std::uint8_t> one_coeff{1};
-  EXPECT_THROW(mul_add_multi(one_coeff, views, dst), std::invalid_argument);
+  std::vector<std::uint8_t> short_buf(3);
+  srcs[0] = std::span<const std::uint8_t>(short_buf);
+  EXPECT_THROW(mul_rows(one_coeff, srcs, outs), std::invalid_argument);
+  srcs[0] = std::span<const std::uint8_t>(a);
+  outs.emplace_back(short_buf);
+  EXPECT_THROW(mul_rows(std::vector<std::uint8_t>{1, 1}, srcs, outs),
+               std::invalid_argument);
 }
 
-TEST(GfBackends, MulAddMultiAllZeroCoefficientsIsNoop) {
-  std::vector<std::uint8_t> src(64, 0xAB), dst(64, 0xCD);
-  const auto before = dst;
-  const std::vector<std::uint8_t> coeffs{0};
-  std::vector<std::span<const std::uint8_t>> views{
-      std::span<const std::uint8_t>(src)};
-  mul_add_multi(coeffs, views, dst);
-  EXPECT_EQ(dst, before);
+TEST(GfBackends, MulRowsWithoutSourcesZeroesOutputs) {
+  std::vector<std::uint8_t> a(64, 0xCD), b(64, 0xEF);
+  const std::vector<std::span<std::uint8_t>> outs{
+      std::span<std::uint8_t>(a), std::span<std::uint8_t>(b)};
+  mul_rows({}, {}, outs);
+  EXPECT_EQ(a, std::vector<std::uint8_t>(64, 0));
+  EXPECT_EQ(b, std::vector<std::uint8_t>(64, 0));
+}
+
+// Software gf2p8affineqb (Intel SDM): bit i of the result byte is the
+// parity of (byte 7 - i of the matrix) AND x; imm8 is 0.
+std::uint8_t affine_byte(std::uint64_t matrix, std::uint8_t x) {
+  std::uint8_t out = 0;
+  for (int i = 0; i < 8; ++i) {
+    const auto row = static_cast<std::uint8_t>(matrix >> (8 * (7 - i)));
+    const int bit = std::popcount(static_cast<unsigned>(row & x)) & 1;
+    out = static_cast<std::uint8_t>(out | (bit << i));
+  }
+  return out;
+}
+
+TEST(GfAffine, MatricesMultiplyEveryByte) {
+  const auto& affine = detail::tables().affine_;
+  for (int c = 0; c < 256; ++c) {
+    for (int x = 0; x < 256; ++x) {
+      ASSERT_EQ(affine_byte(affine[static_cast<std::size_t>(c)],
+                            static_cast<std::uint8_t>(x)),
+                mul(static_cast<std::uint8_t>(c), static_cast<std::uint8_t>(x)))
+          << "c=" << c << " x=" << x;
+    }
+  }
 }
 
 // exp/pow now fold exponents instead of dividing; pin the identities.
